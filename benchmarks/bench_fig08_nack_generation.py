@@ -7,9 +7,8 @@ Read traffic: CX5/CX6 stay ~2 µs, CX4 Lx ~150 µs, E810 ~83 ms.
 """
 
 from conftest import emit
-from workloads import retrans_sweep_config
+from workloads import analyzer_data, retrans_sweep_config
 
-from repro.core.analyzers import analyze_retransmissions
 from repro.core.orchestrator import run_test
 
 NICS = ("cx4", "cx5", "cx6", "e810")
@@ -19,7 +18,7 @@ DROP_PSNS = (1, 20, 40, 60, 80, 99)
 def measure(nic: str, verb: str, drop_psn: int, seed: int = 0):
     seed = seed or (3 + drop_psn)  # vary jitter draws across sweep points
     result = run_test(retrans_sweep_config(nic, verb, drop_psn, seed))
-    events = analyze_retransmissions(result.trace)
+    events = analyzer_data("retransmission", result)
     assert len(events) == 1 and events[0].fast_retransmission
     return events[0]
 

@@ -6,9 +6,8 @@ retransmission delay is ~200 µs ≈ 100 base RTTs); E810 is ~100 µs.
 """
 
 from conftest import emit
-from workloads import retrans_sweep_config
+from workloads import analyzer_data, retrans_sweep_config
 
-from repro.core.analyzers import analyze_retransmissions
 from repro.core.orchestrator import run_test
 
 NICS = ("cx4", "cx5", "cx6", "e810")
@@ -18,7 +17,7 @@ DROP_PSNS = (1, 20, 40, 60, 80, 99)
 def measure(nic: str, verb: str, drop_psn: int, seed: int = 0):
     seed = seed or (3 + drop_psn)  # vary jitter draws across sweep points
     result = run_test(retrans_sweep_config(nic, verb, drop_psn, seed))
-    event = analyze_retransmissions(result.trace)[0]
+    event = analyzer_data("retransmission", result)[0]
     assert event.fast_retransmission
     return event
 

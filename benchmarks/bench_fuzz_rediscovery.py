@@ -12,11 +12,12 @@ fewer total iterations — structural feedback keeps low-scoring
 stepping stones in the pool that the blind GA discards.
 """
 
+import contextlib
+
 from conftest import emit
 
-from repro import quick_config
+from repro import observe, quick_config
 from repro.core.fuzz import LuminaFuzzer, ScoreWeights
-from repro.coverage import runtime as coverage
 
 CAP = 60
 SEEDS = range(1, 11)
@@ -40,17 +41,14 @@ BUGS = {
 
 def budget_to_discovery(base, weights, threshold, seed, guided):
     """Iterations until the first finding; CAP + 1 when censored."""
-    if guided:
-        coverage.enable()
-    try:
+    session = (observe.session(metrics=False) if guided
+               else contextlib.nullcontext())
+    with session:
         fuzzer = LuminaFuzzer(base, seed=seed, weights=weights,
                               anomaly_threshold=threshold)
         report = fuzzer.run(iterations=CAP, stop_on_first=True,
                             coverage_fitness=guided)
         return report.iterations_run if report.findings else CAP + 1
-    finally:
-        if guided:
-            coverage.disable()
 
 
 def sweep(base, weights, threshold, guided):

@@ -12,9 +12,8 @@ diffs them against what each NIC reports.
 """
 
 from conftest import emit
-from workloads import two_host_config
+from workloads import analyzer_data, two_host_config
 
-from repro.core.analyzers import check_counters
 from repro.core.config import DataPacketEvent, TrafficConfig
 from repro.core.orchestrator import run_test
 
@@ -41,12 +40,12 @@ def test_sec624_counter_bugs(benchmark):
     cnp_bug = {}
     nak_bug = {}
     for nic in NICS:
-        report = check_counters(run_ecn_scenario(nic))
+        report = analyzer_data("counters", run_ecn_scenario(nic))
         names = sorted({m.vendor_counter for m in report.mismatches})
         cnp_bug[nic] = names
         lines.append(f"ECN/CNP          {nic:>5s}   {names or '-'}")
     for nic in NICS:
-        report = check_counters(run_read_loss_scenario(nic))
+        report = analyzer_data("counters", run_read_loss_scenario(nic))
         names = sorted({m.vendor_counter for m in report.mismatches})
         nak_bug[nic] = names
         lines.append(f"Read loss        {nic:>5s}   {names or '-'}")

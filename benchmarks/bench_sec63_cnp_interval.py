@@ -7,9 +7,9 @@ between its CNPs — confirmed by Intel.
 """
 
 from conftest import emit
-from workloads import cnp_interval_config
+from workloads import analyzer_data, cnp_interval_config
 
-from repro.core.analyzers import analyze_cnps, min_cnp_interval_ns
+from repro.core.analyzers import min_cnp_interval_ns
 from repro.core.orchestrator import run_test
 
 NICS = ("cx4", "cx5", "cx6", "e810")
@@ -17,7 +17,7 @@ NICS = ("cx4", "cx5", "cx6", "e810")
 
 def measure(nic: str, configured_us: int, seed: int = 31):
     result = run_test(cnp_interval_config(nic, configured_us, seed))
-    report = analyze_cnps(result.trace)
+    report = analyzer_data("cnp", result)
     interval = min_cnp_interval_ns(result.trace)
     return {
         "min_interval_us": (interval or 0) / 1e3,

@@ -8,6 +8,7 @@ what Lumina sees on real hardware.
 
 from conftest import emit
 from workloads import (
+    analyzer_data,
     cnp_interval_config,
     ets_config,
     interop_config,
@@ -16,7 +17,6 @@ from workloads import (
 )
 
 from repro.core.analyzers import (
-    check_counters,
     min_cnp_interval_ns,
     per_qp_goodput_gbps,
     split_mct,
@@ -75,7 +75,7 @@ def detect_counter_bug(nic: str) -> bool:
         data_pkt_events=(DataPacketEvent(1, 2, "drop"),))
     for traffic in (ecn_traffic, read_traffic):
         result = run_test(two_host_config(nic, traffic, seed=9))
-        if check_counters(result).mismatches:
+        if analyzer_data("counters", result).mismatches:
             return True
     return False
 
@@ -84,11 +84,9 @@ def detect_cnp_rate_limiting(nic: str) -> bool:
     # Every NIC coalesces CNPs in some form (§6.3): with the interval
     # knob at 0, a hidden/residual floor or coalescing behaviour shows
     # as fewer CNPs than marks.
-    from repro.core.analyzers import analyze_cnps
-
     result = run_test(cnp_interval_config(nic, configured_us=4, seed=31,
                                           messages=10))
-    report = analyze_cnps(result.trace)
+    report = analyzer_data("cnp", result)
     return report.total_cnps < report.total_ecn_marked
 
 

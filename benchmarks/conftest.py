@@ -5,10 +5,10 @@ evaluation. Besides the pytest-benchmark timing, each bench writes its
 paper-vs-measured series to ``benchmarks/results/<name>.txt`` (and
 prints it) so the reproduction numbers survive output capturing.
 
-Set ``REPRO_BENCH_TELEMETRY=1`` to run the whole bench session under a
-telemetry session: each :func:`emit` then also snapshots the metrics
-registry next to the result table, and the full trace is exported to
-``benchmarks/results/telemetry/`` at session end.
+Set ``REPRO_BENCH_TELEMETRY=1`` to run the whole bench session under an
+observation session: each :func:`emit` then also snapshots the metrics
+registry next to the result table, and everything the session saw is
+exported to ``benchmarks/results/telemetry/`` at session end.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ def emit(name: str, lines) -> str:
     print(banner)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    from repro.telemetry import runtime as telemetry
+    from repro import observe
 
-    session = telemetry.active()
+    session = observe.active()
     if session is not None:
         from repro.telemetry.export import to_prometheus
 
@@ -43,11 +43,10 @@ def emit(name: str, lines) -> str:
 
 @pytest.fixture(scope="session", autouse=_TELEMETRY_ON)
 def bench_telemetry():
-    """Session-wide telemetry, gated on REPRO_BENCH_TELEMETRY=1."""
-    from repro.telemetry import runtime as telemetry
+    """Session-wide observation, gated on REPRO_BENCH_TELEMETRY=1."""
+    from repro import observe
 
-    out_dir = RESULTS_DIR / "telemetry"
-    with telemetry.session(str(out_dir), export_on_exit=True) as session:
+    with observe.session(str(RESULTS_DIR / "telemetry")) as session:
         yield session
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+from repro.core.analyzers import AnalyzerContext, get_analyzer
 from repro.core.config import (
     DataPacketEvent,
     DumperPoolConfig,
@@ -22,6 +23,7 @@ from repro.core.config import (
 )
 
 __all__ = [
+    "analyzer_data",
     "two_host_config",
     "retrans_sweep_config",
     "ets_config",
@@ -31,6 +33,12 @@ __all__ = [
     "cnp_scope_config",
     "adaptive_retrans_config",
 ]
+
+
+def analyzer_data(name: str, result):
+    """The rich report of registered analyzer ``name`` on a result."""
+    return get_analyzer(name).analyze(
+        result.trace, AnalyzerContext.for_result(result)).data
 
 
 def two_host_config(nic: str, traffic: TrafficConfig, seed: int,

@@ -12,15 +12,15 @@ Commands:
 * ``incast``              — run an N-to-1 fan-in workload.
 * ``nics``                — list the built-in NIC behaviour profiles.
 * ``example-config``      — print a ready-to-edit JSON config.
-* ``telemetry-report <dir>`` — summarize a ``--telemetry`` output dir.
-* ``coverage-report <path>`` — summarize or diff ``--coverage`` output
-  (a ``coverage.json``, its directory, or a campaign store).
+* ``observe-report <path>`` — summarize an ``--observe`` directory
+  (metrics headline + coverage domain table), or summarize/diff the
+  coverage of a ``coverage.json``, a campaign directory or a store.
 * ``lint``                — determinism & spawn-safety static analysis
   over the testbed sources (see :mod:`repro.lint`).
 
 The campaign commands (``run``, ``fuzz``, ``suite``, ``sweep``,
 ``incast``) share one flag vocabulary — ``--seed``, ``--workers``,
-``--telemetry``, ``--measurement-faults`` and ``--output`` mean the
+``--observe``, ``--measurement-faults`` and ``--output`` mean the
 same thing, with the same defaults, everywhere they apply:
 
 * ``--workers N`` fans the campaign out over a spawn-safe process pool
@@ -28,19 +28,19 @@ same thing, with the same defaults, everywhere they apply:
   pool dies. Results are byte-identical for any worker count — for
   ``fuzz`` the generation schedule is fixed by ``--batch``, not by
   ``--workers``. Single-run commands (``run``, ``incast``) ignore it.
-* ``--telemetry DIR`` executes with telemetry enabled and writes a
-  Chrome trace (``trace.json``), Prometheus metrics (``metrics.prom``)
-  and span JSONL (``events.jsonl``) into DIR on completion.
-* ``--coverage DIR`` records micro-behavior coverage (which protocol
-  state-machine edges, switch pipeline branches and DCQCN transitions
-  the campaign exercised) into ``DIR/coverage.json``, plus a
-  flight-recorder dump per failing/inconclusive/retried unit of work.
-  The map is deterministic: byte-identical for any ``--workers`` value.
-  For ``fuzz`` a live coverage session also switches selection to
+* ``--observe DIR`` executes under one observation session (see
+  :mod:`repro.observe`) and writes everything it saw into DIR on
+  completion: a Chrome trace (``trace.json``), Prometheus metrics
+  (``metrics.prom``), span JSONL (``events.jsonl``), the micro-behavior
+  coverage map (``coverage.json`` — which protocol state-machine edges,
+  switch pipeline branches and DCQCN transitions the campaign
+  exercised; byte-identical for any ``--workers`` value) and a
+  ``flight-*.txt`` dump per failing/inconclusive/retried unit of work.
+  For ``fuzz`` a live session also switches selection to
   **coverage-guided fitness** (novelty bonus, first-hit admission,
   corpus minimization, finding dedup); ``--no-coverage-fitness``
-  forces the blind GA, and ``--coverage-fitness`` without a coverage
-  directory runs guided with an in-memory session.
+  forces the blind GA, and ``--coverage-fitness`` without ``--observe``
+  runs guided with an in-memory, coverage-only session.
 * ``--measurement-faults SCENARIO`` stresses the measurement plane
   (mirror links, dumper rings) with a named deterministic fault
   scenario (see :mod:`repro.faults.scenarios`); the §3.5 integrity
@@ -74,7 +74,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .core.config import TestConfig
 from .rdma.profiles import PROFILES
@@ -142,40 +142,18 @@ def _emit_report(report: str, output: Optional[str]) -> None:
         print(f"report written to {output}")
 
 
-def _write_flight_dumps(args: argparse.Namespace,
-                        records: List[Tuple[str, str, List[list]]]) -> None:
-    """Persist anomaly flight-recorder dumps next to the coverage map.
-
-    ``records`` is ``[(name, trigger, timeline-entries), ...]`` — one
-    dump per failing/inconclusive/retried unit of work. No-op without
-    ``--coverage``.
-    """
-    coverage_dir = getattr(args, "coverage", None)
-    if not coverage_dir or not records:
-        return
-    from .coverage.report import flight_dump_name, render_flight_record
-
-    os.makedirs(coverage_dir, exist_ok=True)
-    for name, trigger, entries in records:
-        path = os.path.join(coverage_dir, flight_dump_name(name))
-        with open(path, "w") as handle:
-            handle.write(render_flight_record(entries, name, trigger))
-        print(f"flight record written to {path}")
-
-
 def _session_flags(args: argparse.Namespace) -> dict:
     """JobSpec session kwargs for a --server submission.
 
-    Local invocations leave these off — ``main()`` drives the sessions
-    in-process exactly as it always has — so a plain local command and
-    a plain remote one build the identical, fingerprint-equal spec.
-    Remote jobs instead carry the request in the payload and the job
-    process exports into its job directory on the daemon side.
+    Local invocations leave this off — ``main()`` drives the session
+    in-process — so a plain local command and a plain remote one build
+    the identical, fingerprint-equal spec. Remote jobs instead carry
+    the request in the payload and the job process exports into its job
+    directory on the daemon side.
     """
     if not getattr(args, "server", None):
         return {}
-    return {"coverage": bool(getattr(args, "coverage", None)),
-            "telemetry": bool(getattr(args, "telemetry", None))}
+    return {"observe": bool(args.observe)}
 
 
 def _run_remote(args: argparse.Namespace, spec) -> int:
@@ -218,7 +196,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     store = _campaign_store(args)
     outcome = execute_jobspec(spec, store=store)
     _emit_report(outcome.report, args.output)
-    _write_flight_dumps(args, outcome.flight_records)
     if store is not None:
         print(store.stats())
     return outcome.exit_code
@@ -268,7 +245,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
     store = _campaign_store(args)
     outcome = execute_jobspec(spec, store=store)
     _emit_report(outcome.report, args.output)
-    _write_flight_dumps(args, outcome.flight_records)
     if store is not None:
         print(store.stats())
     return outcome.exit_code
@@ -499,43 +475,26 @@ def cmd_example_config(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_coverage_report(args: argparse.Namespace) -> int:
+def cmd_observe_report(args: argparse.Namespace) -> int:
     from .coverage.report import (load_points, render_coverage,
                                   render_coverage_json, render_diff)
+    from .telemetry.report import has_artifacts, render_summary
 
     try:
         points = load_points(args.path)
+        other = load_points(args.diff) if args.diff else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.diff:
-        try:
-            other = load_points(args.diff)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _emit_report(render_diff(points, other, args.path, args.diff),
-                     args.output)
-        return 0
-    if args.json:
-        _emit_report(render_coverage_json(points), args.output)
+    if other is not None:
+        report = render_diff(points, other, args.path, args.diff)
+    elif args.json:
+        report = render_coverage_json(points)
     else:
-        _emit_report(render_coverage(points, title=args.path), args.output)
-    return 0
-
-
-def cmd_telemetry_report(args: argparse.Namespace) -> int:
-    from .telemetry.report import render_summary
-
-    if not os.path.isdir(args.dir):
-        print(f"error: no such telemetry directory: {args.dir}",
-              file=sys.stderr)
-        return 2
-    try:
-        print(render_summary(args.dir))
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report = render_coverage(points, title=args.path)
+        if has_artifacts(args.path):
+            report = render_summary(args.path) + "\n" + report
+    _emit_report(report, args.output)
     return 0
 
 
@@ -557,12 +516,10 @@ def _common_parser() -> argparse.ArgumentParser:
                        help="process-pool size for campaign commands "
                             "(default: 1, in-process; single-run "
                             "commands ignore it)")
-    group.add_argument("--telemetry", metavar="DIR", default=None,
-                       help="collect runtime telemetry and export to DIR")
-    group.add_argument("--coverage", metavar="DIR", default=None,
-                       help="record micro-behavior coverage and write "
-                            "DIR/coverage.json (plus flight-recorder "
-                            "dumps for failing runs)")
+    group.add_argument("--observe", metavar="DIR", default=None,
+                       help="observe the run and write metrics, traces, "
+                            "coverage.json and flight-recorder dumps "
+                            "for failing runs into DIR")
     group.add_argument("--measurement-faults", metavar="SCENARIO",
                        default=None, choices=_fault_scenario_names(),
                        help="inject measurement-plane faults "
@@ -623,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coverage-guided selection: novelty bonus, "
                              "first-hit admission, corpus minimization and "
                              "finding dedup (default: on exactly when "
-                             "--coverage is set; --no-coverage-fitness "
+                             "--observe is set; --no-coverage-fitness "
                              "forces the blind GA)")
     fuzz_p.add_argument("--batch", type=int, default=4,
                         help="candidates generated per pool snapshot; "
@@ -733,27 +690,23 @@ def build_parser() -> argparse.ArgumentParser:
                                help="print a sample JSON config")
     example_p.set_defaults(func=cmd_example_config)
 
-    telreport_p = sub.add_parser(
-        "telemetry-report",
-        help="summarize a --telemetry output directory")
-    telreport_p.add_argument("dir")
-    telreport_p.set_defaults(func=cmd_telemetry_report)
-
-    covreport_p = sub.add_parser(
-        "coverage-report",
-        help="summarize or diff --coverage output (a coverage.json, "
-             "its directory, or a campaign store)")
-    covreport_p.add_argument("path",
-                             help="coverage.json file, a --coverage/"
-                                  "--campaign directory, or a store root")
-    covreport_p.add_argument("--diff", metavar="OTHER", default=None,
-                             help="report points hit in exactly one of "
-                                  "the two coverage sources")
-    covreport_p.add_argument("--json", action="store_true",
-                             help="emit the per-domain summary as JSON")
-    covreport_p.add_argument("--output", "-o", metavar="FILE", default=None,
-                             help="also write the report to FILE")
-    covreport_p.set_defaults(func=cmd_coverage_report)
+    report_p = sub.add_parser(
+        "observe-report",
+        help="summarize an --observe directory, or summarize/diff "
+             "coverage (a coverage.json, its directory, or a campaign "
+             "store)")
+    report_p.add_argument("path",
+                          help="--observe directory, coverage.json file, "
+                               "--campaign directory or store root")
+    report_p.add_argument("--diff", metavar="OTHER", default=None,
+                          help="report coverage points hit in exactly one "
+                               "of the two sources")
+    report_p.add_argument("--json", action="store_true",
+                          help="emit the per-domain coverage summary as "
+                               "JSON")
+    report_p.add_argument("--output", "-o", metavar="FILE", default=None,
+                          help="also write the report to FILE")
+    report_p.set_defaults(func=cmd_observe_report)
 
     sub.add_parser(
         "lint",
@@ -771,55 +724,21 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
-    if getattr(args, "server", None):
-        # Remote execution: sessions (and their exports) live in the
-        # daemon's job directory, not in this process.
+    out_dir = getattr(args, "observe", None)
+    # `fuzz --coverage-fitness` without --observe still needs a live
+    # session for its feedback: run a coverage-only one in memory.
+    # Remote execution observes in the daemon's job directory instead.
+    if getattr(args, "server", None) or (
+            out_dir is None and not getattr(args, "coverage_fitness", None)):
         return args.func(args)
-    telemetry_dir = getattr(args, "telemetry", None)
-    coverage_dir = getattr(args, "coverage", None)
-    # `fuzz --coverage-fitness` without --coverage still needs a live
-    # session to collect the feedback — enable one in-memory (no
-    # coverage.json is exported without a directory to put it in).
-    wants_session = coverage_dir is not None or bool(
-        getattr(args, "coverage_fitness", False))
-    if telemetry_dir is None and not wants_session:
-        return args.func(args)
-    from .coverage import runtime as coverage
-    from .telemetry import runtime as telemetry
+    from . import observe
 
-    if telemetry_dir is not None:
-        telemetry.enable(telemetry_dir)
-    if wants_session:
-        coverage.enable(coverage_dir)
-    try:
+    with observe.session(out_dir, metrics=out_dir is not None):
         status = args.func(args)
-        cov = coverage.active()
-        if cov is not None and coverage_dir is not None:
-            from .coverage.domains import known_point_count
-            from .coverage.report import export_coverage
-
-            points = cov.total_snapshot()
-            if telemetry.active() is not None:
-                # Headline gauges for `telemetry-report`, published
-                # before the telemetry export below snapshots them.
-                tel = telemetry.current()
-                tel.gauge("coverage_domains_hit").set(
-                    len({row[0] for row in points}))
-                tel.gauge("coverage_points_hit").set(len(points))
-                tel.gauge("coverage_points_known").set(known_point_count())
-            path = export_coverage(points, coverage_dir)
-            print(f"coverage written to {path} ({len(points)} points)")
-        session = telemetry.active()
-        if session is not None:
-            paths = session.export()
-            names = sorted(p.rsplit("/", 1)[-1] for p in paths.values())
-            print(f"telemetry written to {telemetry_dir} ({', '.join(names)})")
-        return status
-    finally:
-        if wants_session:
-            coverage.disable()
-        if telemetry_dir is not None:
-            telemetry.disable()
+    if out_dir is not None:
+        print(f"observations written to {out_dir} "
+              f"({', '.join(sorted(os.listdir(out_dir)))})")
+    return status
 
 
 if __name__ == "__main__":

@@ -1,17 +1,13 @@
 """Built-in analyzers of the Lumina test suite (§4).
 
-Two tiers live here:
-
-* the **analyzer protocol** (:mod:`.base`, :mod:`.registry`) — every
-  analyzer is ``name`` + ``analyze(trace, ctx) -> AnalyzerResult``
-  with a uniform trichotomous outcome, flat violation list and
-  evidence window; look analyzers up with :func:`get_analyzer` or walk
-  them with :func:`iter_analyzers`;
-* the **legacy free functions** (``analyze_cnps``,
-  ``check_gbn_compliance``, ``check_counters``,
-  ``analyze_retransmissions``) — deprecated thin wrappers kept for
-  back-compatibility; each one's rich report is now carried on the
-  corresponding ``AnalyzerResult.data``.
+Every analyzer implements the **analyzer protocol** (:mod:`.base`,
+:mod:`.registry`): ``name`` + ``analyze(trace, ctx) -> AnalyzerResult``
+with a uniform trichotomous outcome, flat violation list and evidence
+window, and its rich report (``FsmReport``, ``CnpReport``, ...) on
+``AnalyzerResult.data``. Look analyzers up with :func:`get_analyzer` or
+walk them with :func:`iter_analyzers`. The helpers exported beside the
+protocol (:func:`min_cnp_interval_ns`, :func:`expected_counters`,
+:func:`mct_stats`, ...) measure single micro-behaviors directly.
 """
 
 from .base import (
@@ -23,17 +19,15 @@ from .base import (
 )
 from .cnp import (
     CnpReport,
-    analyze_cnps,
     infer_rate_limit_scope,
     min_cnp_interval_ns,
 )
 from .counter_check import (
     CounterMismatch,
     CounterReport,
-    check_counters,
     expected_counters,
 )
-from .gbn_fsm import FsmReport, FsmViolation, ReceiverState, check_gbn_compliance
+from .gbn_fsm import FsmReport, FsmViolation, ReceiverState
 from .goodput import MctStats, mct_stats, per_qp_goodput_gbps, split_mct
 from .latency import (
     LatencySummary,
@@ -48,7 +42,7 @@ from .registry import (
     iter_analyzers,
     register,
 )
-from .retrans_perf import RetransmissionEvent, analyze_retransmissions
+from .retrans_perf import RetransmissionEvent
 
 __all__ = [
     "Analyzer",
@@ -61,17 +55,14 @@ __all__ = [
     "iter_analyzers",
     "analyzer_names",
     "CnpReport",
-    "analyze_cnps",
     "infer_rate_limit_scope",
     "min_cnp_interval_ns",
     "CounterMismatch",
     "CounterReport",
-    "check_counters",
     "expected_counters",
     "FsmReport",
     "FsmViolation",
     "ReceiverState",
-    "check_gbn_compliance",
     "LatencySummary",
     "ack_rtt_samples",
     "read_service_samples",
@@ -82,5 +73,4 @@ __all__ = [
     "per_qp_goodput_gbps",
     "split_mct",
     "RetransmissionEvent",
-    "analyze_retransmissions",
 ]

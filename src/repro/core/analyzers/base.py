@@ -12,7 +12,7 @@ report available:
 * every :class:`AnalyzerResult` states a trichotomous
   :class:`Outcome`, a flat list of human-readable ``violations``, and
   the ``evidence_window`` (simulated-time span) the verdict rests on;
-* the analyzer's legacy report object rides along as ``data`` for
+* the analyzer's rich report object rides along as ``data`` for
   consumers that need the full detail (the run report's prose, the
   fuzz scorer's per-field accounting).
 
@@ -61,7 +61,7 @@ class Outcome(str, Enum):
 class AnalyzerResult:
     """What every analyzer returns, whatever it inspected.
 
-    ``data`` carries the analyzer's rich legacy report (``FsmReport``,
+    ``data`` carries the analyzer's rich report (``FsmReport``,
     ``CnpReport``, event lists, …) for consumers that need more than
     the uniform verdict; it is deliberately excluded from
     :meth:`to_dict`, which is the flat, store-friendly projection.

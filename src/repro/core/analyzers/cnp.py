@@ -14,14 +14,13 @@ Validates DCQCN notification-point behaviour from the packet trace:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ...rdma.profiles import CnpLimitMode
 from ..trace import PacketTrace
 
-__all__ = ["CnpReport", "analyze_cnps", "min_cnp_interval_ns",
+__all__ = ["CnpReport", "min_cnp_interval_ns",
            "infer_rate_limit_scope"]
 
 
@@ -46,20 +45,6 @@ class CnpReport:
         else:
             times = sorted(t for values in self.streams.values() for t in values)
         return [b - a for a, b in zip(times, times[1:])]
-
-
-def analyze_cnps(trace: PacketTrace) -> CnpReport:
-    """Deprecated entry point — use the ``cnp`` analyzer instead.
-
-    ``get_analyzer("cnp").analyze(trace, ctx)`` returns the uniform
-    :class:`~repro.core.analyzers.base.AnalyzerResult`; this report
-    object rides on its ``data`` attribute.
-    """
-    warnings.warn(
-        "analyze_cnps() is deprecated; use repro.core.analyzers."
-        "get_analyzer('cnp').analyze(trace, ctx) — the CnpReport is on "
-        "the result's .data", DeprecationWarning, stacklevel=2)
-    return _analyze_cnps(trace)
 
 
 def _analyze_cnps(trace: PacketTrace) -> CnpReport:

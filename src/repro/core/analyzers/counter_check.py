@@ -13,7 +13,6 @@ against real hardware.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -21,8 +20,7 @@ from ...net.packet import EventType
 from ..results import HostCounters, TestResult
 from ..trace import PacketTrace
 
-__all__ = ["CounterMismatch", "CounterReport", "expected_counters",
-           "check_counters"]
+__all__ = ["CounterMismatch", "CounterReport", "expected_counters"]
 
 _PSN_MASK = 0xFFFFFF
 _HALF = 1 << 23
@@ -119,22 +117,6 @@ def expected_counters(trace: PacketTrace, host_ips: set) -> Dict[str, int]:
 _EXACT = ("cnp_sent", "cnp_handled", "ecn_marked_packets", "nak_sent",
           "packet_seq_err", "implied_nak_seq_err", "out_of_sequence",
           "rx_icrc_errors")
-
-
-def check_counters(result: TestResult) -> CounterReport:
-    """Deprecated entry point — use the ``counters`` analyzer instead.
-
-    ``get_analyzer("counters").analyze(result.trace, AnalyzerContext.
-    for_result(result))`` returns the uniform
-    :class:`~repro.core.analyzers.base.AnalyzerResult`; this report
-    object rides on its ``data`` attribute.
-    """
-    warnings.warn(
-        "check_counters() is deprecated; use repro.core.analyzers."
-        "get_analyzer('counters').analyze(result.trace, ctx) — the "
-        "CounterReport is on the result's .data",
-        DeprecationWarning, stacklevel=2)
-    return _check_counters(result)
 
 
 def _check_counters(result: TestResult) -> CounterReport:

@@ -25,7 +25,6 @@ Checked properties (per directed data stream):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -34,7 +33,7 @@ from ...net.headers import Opcode
 from ...net.packet import EventType
 from ..trace import PacketTrace, TracePacket
 
-__all__ = ["ReceiverState", "FsmViolation", "FsmReport", "check_gbn_compliance"]
+__all__ = ["ReceiverState", "FsmViolation", "FsmReport"]
 
 _PSN_MASK = 0xFFFFFF
 _HALF = 1 << 23
@@ -125,21 +124,6 @@ def _control_events_for(trace: PacketTrace, conn_key: Tuple[int, int, int],
                     and pkt.record.aeth.is_nak:
                 out.append(pkt)
     return out
-
-
-def check_gbn_compliance(trace: PacketTrace, mtu: int = 1024) -> FsmReport:
-    """Deprecated entry point — use the ``gbn`` analyzer instead.
-
-    ``get_analyzer("gbn").analyze(trace, ctx)`` returns the uniform
-    :class:`~repro.core.analyzers.base.AnalyzerResult` (``ctx.mtu``
-    replaces the ``mtu`` argument); this report object rides on its
-    ``data`` attribute.
-    """
-    warnings.warn(
-        "check_gbn_compliance() is deprecated; use repro.core.analyzers."
-        "get_analyzer('gbn').analyze(trace, ctx) — the FsmReport is on "
-        "the result's .data", DeprecationWarning, stacklevel=2)
-    return _check_gbn_compliance(trace, mtu=mtu)
 
 
 def _check_gbn_compliance(trace: PacketTrace, mtu: int = 1024) -> FsmReport:

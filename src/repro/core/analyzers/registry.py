@@ -2,8 +2,8 @@
 
 Every analyzer here implements the :class:`~repro.core.analyzers.base.
 Analyzer` protocol — ``name`` + ``analyze(trace, ctx)`` — and wraps one
-of the legacy analysis passes, normalising its bespoke report into the
-uniform :class:`AnalyzerResult` (the rich report stays available on
+analysis pass, normalising its bespoke report into the uniform
+:class:`AnalyzerResult` (the rich report stays available on
 ``result.data``). Consumers iterate :func:`iter_analyzers` instead of
 hard-coding the pass list, so a new analyzer registers once and shows
 up in the run report, the API facade and anything else that asks.

@@ -19,14 +19,13 @@ retransmissions with the drop→retransmission gap as the latency.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ...net.headers import Opcode
 from ..trace import PacketTrace, TracePacket
 
-__all__ = ["RetransmissionEvent", "analyze_retransmissions"]
+__all__ = ["RetransmissionEvent"]
 
 
 @dataclass
@@ -98,20 +97,6 @@ def _find_nack_for_read(trace: PacketTrace, drop: TracePacket,
                 and pkt.psn == drop.psn and pkt.timestamp_ns >= after_ns:
             return pkt
     return None
-
-
-def analyze_retransmissions(trace: PacketTrace) -> List[RetransmissionEvent]:
-    """Deprecated entry point — use the ``retransmission`` analyzer.
-
-    ``get_analyzer("retransmission").analyze(trace, ctx)`` returns the
-    uniform :class:`~repro.core.analyzers.base.AnalyzerResult`; this
-    event list rides on its ``data`` attribute.
-    """
-    warnings.warn(
-        "analyze_retransmissions() is deprecated; use repro.core.analyzers."
-        "get_analyzer('retransmission').analyze(trace, ctx) — the event "
-        "list is on the result's .data", DeprecationWarning, stacklevel=2)
-    return _analyze_retransmissions(trace)
 
 
 def _analyze_retransmissions(trace: PacketTrace) -> List[RetransmissionEvent]:

@@ -21,7 +21,7 @@ consumption lives in the sequential phases, so for a fixed
 ``batch_size=1`` degenerates to the paper's strictly serial schedule.
 
 **Coverage-guided mode** (FP4/P4Testgen-style structural feedback)
-activates when a coverage session is live (override per-run with
+activates when an observation session is live (override per-run with
 ``coverage_fitness``). Selection then works on ``score.fitness`` —
 analyzer total plus a :func:`~.score.novelty_score` bonus computed
 against the cumulative campaign map, folded per candidate *in
@@ -49,10 +49,9 @@ if TYPE_CHECKING:  # avoid a runtime core -> exec/store import cycle
     from ...exec.runner import ParallelRunner
     from ...store.index import CampaignStore
 
-from ...coverage import runtime as coverage
+from ... import observe
 from ...coverage.map import CoverageMap
 from ...sim.rng import SimRandom
-from ...telemetry import runtime as telemetry
 from ..config import TestConfig, TrafficConfig
 from ..orchestrator import run_test
 from ..results import TestResult
@@ -267,7 +266,7 @@ class LuminaFuzzer:
         ``"pool-scores"`` is kept so v1 readers still find the sorted
         score list, and v1 checkpoints without ``"pool-entries"`` still
         load (see :meth:`load_state`). ``"coverage-map"`` is emitted
-        whenever a coverage session is active — even while empty —
+        whenever an observation session is live — even while empty —
         so a coverage-enabled campaign that has hit zero points is
         distinguishable from a coverage-off one on resume.
         """
@@ -281,7 +280,7 @@ class LuminaFuzzer:
                 for e in self._pool
             ],
         }
-        if coverage.active() is not None or len(self._coverage):
+        if observe.active() is not None or len(self._coverage):
             state["coverage-map"] = self._coverage.snapshot()
         return state
 
@@ -330,7 +329,7 @@ class LuminaFuzzer:
             "batch-size": batch_size,
             "initial-pool": [e.config.to_dict() for e in self._pool],
         }
-        if coverage.active() is not None:
+        if observe.active() is not None:
             extra["coverage"] = True
         if guided:
             # Guided campaigns evolve a different schedule, so they
@@ -380,8 +379,8 @@ class LuminaFuzzer:
         fails outright maps to ``None`` and is later counted as an
         invalid run.
         """
-        tel = telemetry.current()
-        cov = coverage.active()
+        tel = observe.current()
+        cov = observe.active()
         scores: List[Optional[Score]] = [None] * len(batch)
         pending = list(range(len(batch)))
         fps: List[Optional[str]] = [None] * len(batch)
@@ -501,12 +500,12 @@ class LuminaFuzzer:
 
         ``coverage_fitness`` selects coverage-guided selection (see the
         module docstring): ``None`` (default) turns it on exactly when
-        a coverage session is active; ``False`` forces the blind GA
+        an observation session is live; ``False`` forces the blind GA
         even under a session; ``True`` is still a no-op without a
         session, since there is no coverage to feed back.
         """
         batch_size = max(1, batch_size)
-        cov_on = coverage.active() is not None
+        cov_on = observe.active() is not None
         if coverage_fitness is None:
             guided = cov_on
         else:
@@ -559,7 +558,7 @@ class LuminaFuzzer:
                 self._finding_key(f.config.traffic, f.score.coverage): f
                 for f in report.findings
             }
-        tel = telemetry.current()
+        tel = observe.current()
         m_iters = tel.counter("fuzz_iterations")
         m_invalid = tel.counter("fuzz_invalid_runs")
         m_findings = tel.counter("fuzz_findings")

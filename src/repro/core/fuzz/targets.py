@@ -34,7 +34,7 @@ class FuzzTarget:
     description: str
     weights: ScoreWeights
     anomaly_threshold: float
-    #: Coverage-guided fitness knobs (used only when a coverage session
+    #: Coverage-guided fitness knobs (used only when an observation session
     #: is live): bonus per never-seen coverage point, bonus scale for
     #: rare points, and the minimized-corpus bound.
     novelty_first_bonus: float = 2.0

@@ -27,12 +27,11 @@ from typing import TYPE_CHECKING, List, Optional
 if TYPE_CHECKING:  # avoid a runtime core -> store import cycle
     from ..store.index import CampaignStore
 
-from ..coverage import runtime as coverage
+from .. import observe
 from ..net.checksum import icrc_for
 from ..net.checksum import icrc_batch_stats
 from ..net.packet import pack_cache_hits
 from ..switch.events import RewriteRule
-from ..telemetry import runtime as telemetry
 from ..telemetry.instrument import attach_testbed
 from .config import TestConfig
 from .intent import expand_periodic_events, translate_events
@@ -81,7 +80,7 @@ class Orchestrator:
         starts. The returned result is the *last* attempt's, with every
         attempt — successful or not — recorded on ``result.attempts``.
         """
-        session = telemetry.current()
+        session = observe.current()
         m_retries = session.counter("run_retries")
         m_integrity_failures = session.counter("run_integrity_failures")
         # Hot-path cache effectiveness: record per-run deltas of the
@@ -90,7 +89,7 @@ class Orchestrator:
         batch_hits_start, batch_misses_start = icrc_batch_stats()
         pack_hits_start = pack_cache_hits()
         policy = self.config.retry
-        cov = coverage.active()
+        cov = observe.active()
         if cov is not None:
             cov.push_scope()
         try:
@@ -136,7 +135,7 @@ class Orchestrator:
             result.coverage = run_map.snapshot()
             if len(attempts) > 1 or not result.integrity.ok:
                 result.flight_record = cov.flight_snapshot()
-        if telemetry.active() is not None:
+        if session.metrics:
             session.gauge("run_attempts").set(len(attempts))
             icrc_info = icrc_for.cache_info()
             batch_hits, batch_misses = icrc_batch_stats()
@@ -152,10 +151,9 @@ class Orchestrator:
 
     def _run_attempt(self) -> TestResult:
         """One build-run-collect cycle on the current testbed."""
-        tel = telemetry.active()
-        session = telemetry.current()
-        if tel is not None:
-            attach_testbed(self.testbed, tel)
+        session = observe.current()
+        if session.metrics:
+            attach_testbed(self.testbed, session)
         with session.span("run.setup", pid="orchestrator"):
             self.setup()
         sim = self.testbed.sim
@@ -186,7 +184,7 @@ class Orchestrator:
         # sim.now sits at the duration cap (run() advances the clock);
         # the meaningful duration is when traffic actually finished.
         duration = self.session.log.finished_at or sim.now
-        if tel is not None:
+        if session.metrics:
             probe = getattr(sim, "probe", None)
             if probe is not None:
                 probe.flush()
@@ -261,7 +259,7 @@ def run_test(config: TestConfig,
     single merge point for fresh, cached and pool-executed runs, which
     is what keeps campaign maps byte-identical across worker counts.
     """
-    cov = coverage.active()
+    cov = observe.active()
     if store is not None and not rewrite_rules:
         from ..store.fingerprint import config_fingerprint
         from ..store.serialize import decode_result, encode_result
@@ -300,7 +298,7 @@ def run_tests(configs: List[TestConfig], workers: int = 1,
     """
     if workers <= 1:
         return [run_test(config, store=store) for config in configs]
-    cov = coverage.active()
+    cov = observe.active()
     results: List[Optional[TestResult]] = [None] * len(configs)
     pending = list(range(len(configs)))
     fps: List[Optional[str]] = [None] * len(configs)

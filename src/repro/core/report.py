@@ -166,7 +166,7 @@ def render_report(result: TestResult) -> str:
                          f"{hits} hit(s)")
         if result.flight_record:
             lines.append(f"flight record: {len(result.flight_record)} "
-                         f"event(s) captured (see --coverage dump)")
+                         f"event(s) captured (see --observe dump)")
 
     return "\n".join(lines) + "\n"
 

@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # avoid a runtime core -> exec/store import cycle
     from ..faults.scenarios import FaultScenario
     from ..store.index import CampaignStore
 
-from ..coverage import runtime as coverage
+from .. import observe
 from .analyzers.base import AnalyzerContext, AnalyzerResult, Outcome
 from .analyzers.cnp import min_cnp_interval_ns
 from .analyzers.goodput import per_qp_goodput_gbps, split_mct
@@ -539,7 +539,7 @@ def _check_fingerprint(name: str, nic: str, seed: int,
         "faults": canonicalize(scenario),
         "profile": canonicalize(PROFILES[nic.lower()]),
     }
-    if coverage.active() is not None:
+    if observe.active() is not None:
         # Coverage-annotated verdicts live at their own address, so a
         # coverage-off replay never serves a map-less cached verdict.
         payload["coverage"] = True
@@ -556,7 +556,7 @@ def run_single_check(name: str, nic: str, seed: int,
     on the :class:`CheckResult`. A non-PASS verdict additionally carries
     the flight-recorder timeline for the anomaly dump.
     """
-    cov = coverage.active()
+    cov = observe.active()
     if cov is None:
         return CHECKS[name](nic, seed, scenario)
     cov.reset_recorders()
@@ -664,7 +664,7 @@ def run_conformance_suite(nic: str, seed: Optional[int] = None,
                 _record(name, CheckResult(
                     name, False, f"execution failed: {outcome.error}"), False)
     card.results = [results[name] for name in selected]
-    cov = coverage.active()
+    cov = observe.active()
     if cov is not None:
         # Fold each check's map into the session in battery order — the
         # same route for serial, pooled and store-replayed verdicts, so

@@ -101,11 +101,11 @@ def run_sweep(payload: Dict, workers: int = 1,
     """
     configs, cells = build_grid(payload)
 
-    from ..coverage import runtime as coverage_runtime
+    from .. import observe
     from ..exec import ParallelRunner, TaskOutcome
     from ..exec.tasks import run_summary_task
 
-    cov = coverage_runtime.active()
+    cov = observe.active()
     outcomes: List[Optional[TaskOutcome]] = [None] * len(configs)
     fps: List[Optional[str]] = [None] * len(configs)
     pending = list(range(len(configs)))

@@ -10,6 +10,7 @@ the "traffic generator log" of Table 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -142,6 +143,10 @@ class TrafficSession:
         self.requester_qps: List[QueuePair] = []
         self.responder_qps: List[QueuePair] = []
         self.metadata: List[QpMetadata] = []
+        # Work-request ids land in the result document, so they are
+        # numbered per session, not by the process-wide default
+        # allocator (which would differ between runs in one process).
+        self._wr_ids = itertools.count(1)
         # The rkey goes into RETH headers on the wire, so it must be
         # derived from the run seed (a global allocator would make
         # traces differ between runs inside one process).
@@ -246,6 +251,7 @@ class TrafficSession:
         wr = WorkRequest(
             verb=verb,
             length=self.traffic.message_size,
+            wr_id=next(self._wr_ids),
             remote_address=self.responder_mr.address,
             remote_rkey=self.responder_mr.rkey,
         )

@@ -4,7 +4,7 @@ Lumina's value proposition is *observing* micro-behaviors of offloaded
 stacks; aggregate metrics (``repro.telemetry``) say how often things
 happened but not *which* protocol states and pipeline paths a run
 actually exercised. This package closes that gap with two deterministic
-observability primitives layered on the telemetry conventions:
+observability primitives:
 
 * :class:`~repro.coverage.map.CoverageMap` — hit counts plus first-hit
   sim-time for named instrumentation points, grouped into domains that
@@ -17,31 +17,20 @@ observability primitives layered on the telemetry conventions:
   when a check FAILs, goes INCONCLUSIVE or an integrity retry fires —
   turning "test 83 failed" into an inspectable micro-behavior timeline.
 
-The runtime contract copies telemetry's: at most one session is active
-(:func:`~repro.coverage.runtime.enable` / ``disable``), components
-fetch handles once at construction through
-:func:`~repro.coverage.runtime.current` (never None — no-op twins when
-disabled), and nothing here ever feeds information back into the
-simulation, so runs with coverage on or off produce byte-identical
-traces and verdicts.
+Both are facets of the one observation session (:mod:`repro.observe`):
+``--observe DIR`` writes ``coverage.json`` and the ``flight-*.txt``
+dumps next to the metrics and traces, and ``python -m repro
+observe-report DIR`` renders the domain table. Nothing here ever feeds
+information back into the simulation, so runs with coverage on or off
+produce byte-identical traces and verdicts.
 """
 
 from .domains import DOMAINS, known_point_count
-from .map import CoverageMap
+from .map import NULL_DOMAIN, CoverageMap, DomainHandle
 from .recorder import NULL_RECORDER, FlightRecorder
-from .runtime import (
-    NULL_COVERAGE,
-    CoverageSession,
-    active,
-    current,
-    disable,
-    enable,
-    session,
-)
 
 __all__ = [
-    "CoverageMap", "CoverageSession", "FlightRecorder",
+    "CoverageMap", "DomainHandle", "FlightRecorder",
     "DOMAINS", "known_point_count",
-    "NULL_COVERAGE", "NULL_RECORDER",
-    "enable", "disable", "current", "active", "session",
+    "NULL_DOMAIN", "NULL_RECORDER",
 ]

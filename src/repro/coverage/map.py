@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["CoverageMap", "canonical_coverage_json"]
+__all__ = ["CoverageMap", "canonical_coverage_json", "DomainHandle",
+           "NullDomainHandle", "NULL_DOMAIN"]
 
 #: (domain, point) — e.g. ("rdma.gbn", "timeout-retransmit").
 PointKey = Tuple[str, str]
@@ -124,6 +125,36 @@ class CoverageMap:
         if not isinstance(other, CoverageMap):
             return NotImplemented
         return self._points == other._points
+
+
+class DomainHandle:
+    """A component's cached handle for one coverage domain.
+
+    Re-reads ``session.live`` on every hit, so handles created before a
+    scope push keep recording into the innermost scope.
+    """
+
+    __slots__ = ("_session", "name")
+
+    def __init__(self, session, name: str):
+        self._session = session
+        self.name = name
+
+    def hit(self, point: str, now_ns: int = 0) -> None:
+        self._session.live.hit(self.name, point, now_ns)
+
+
+class NullDomainHandle:
+    """Disabled-mode twin: one empty method call per instrumented site."""
+
+    __slots__ = ()
+    name = ""
+
+    def hit(self, point: str, now_ns: int = 0) -> None:
+        pass
+
+
+NULL_DOMAIN = NullDomainHandle()
 
 
 def canonical_coverage_json(snapshot: Iterable[Sequence]) -> str:

@@ -3,8 +3,8 @@
 Each component (a QP, a NIC, the switch pipeline) owns one bounded
 ring. Recording an event is one deque append; nothing is formatted or
 written until a trigger fires (check FAIL, INCONCLUSIVE verdict,
-integrity retry) and the session's :meth:`~repro.coverage.runtime.
-CoverageSession.flight_snapshot` is taken. A session-wide sequence
+integrity retry) and the session's :meth:`~repro.observe.Session.
+flight_snapshot` is taken. A session-wide sequence
 number gives the merged timeline a stable total order even when two
 components record at the same sim nanosecond.
 
@@ -17,23 +17,21 @@ from collections import deque
 from typing import List
 
 __all__ = ["FlightRecorder", "NullFlightRecorder", "NULL_RECORDER",
-           "DEFAULT_RING_SIZE"]
+           "RING_SIZE"]
 
 #: Events kept per component before the ring overwrites itself.
-DEFAULT_RING_SIZE = 64
+RING_SIZE = 64
 
 
 class FlightRecorder:
     """One component's bounded event ring."""
 
     __slots__ = ("_session", "component", "_ring")
-    enabled = True
 
-    def __init__(self, session, component: str,
-                 ring_size: int = DEFAULT_RING_SIZE):
+    def __init__(self, session, component: str):
         self._session = session
         self.component = component
-        self._ring: deque = deque(maxlen=ring_size)
+        self._ring: deque = deque(maxlen=RING_SIZE)
 
     def note(self, now_ns: int, event: str, detail: str = "") -> None:
         """Record one event at sim-time ``now_ns``."""
@@ -57,7 +55,6 @@ class NullFlightRecorder:
     """Disabled-mode twin: every method is a no-op."""
 
     __slots__ = ()
-    enabled = False
     component = ""
 
     def note(self, now_ns: int, event: str, detail: str = "") -> None:

@@ -2,10 +2,11 @@
 
 Backs two CLI surfaces:
 
-* ``--coverage DIR`` on campaign commands — :func:`export_coverage`
-  writes the session total as a canonical ``coverage.json`` (and the
-  CLI drops ``flight-*.txt`` dumps next to it when a trigger fired);
-* ``python -m repro coverage-report <path> [--diff OTHER]`` — renders
+* ``--observe DIR`` on campaign commands — the session's export calls
+  :func:`export_coverage` to write its total as a canonical
+  ``coverage.json`` (and drops ``flight-*.txt`` dumps next to it when a
+  trigger fired);
+* ``python -m repro observe-report <path> [--diff OTHER]`` — renders
   a hit/known table per domain, lists never-reached points ("which GBN
   edges has this campaign never reached?"), and diffs two campaigns.
 
@@ -33,7 +34,7 @@ __all__ = [
     "flight_dump_name",
 ]
 
-#: File name written into a ``--coverage`` directory.
+#: File name written into an ``--observe`` directory.
 COVERAGE_FILE = "coverage.json"
 
 
@@ -73,7 +74,7 @@ def aggregate_store(store_root: str) -> List[List]:
 
 
 def load_points(path: str) -> List[List]:
-    """Coverage rows from a file, a --coverage dir, or a campaign dir."""
+    """Coverage rows from a file, an --observe dir, or a campaign dir."""
     if os.path.isfile(path):
         return _load_file(path)
     if not os.path.isdir(path):

@@ -1,279 +1,26 @@
-"""Session lifecycle: the global on/off switch for coverage.
+"""Coverage-only shorthand for the observation session.
 
-Mirrors :mod:`repro.telemetry.runtime`: one :class:`CoverageSession`
-is active at a time, components fetch handles once at construction
-through :func:`current` (never None — the :data:`NULL_COVERAGE` twin
-hands out no-op handles when disabled) and bump them on the hot path,
-and :func:`active` (session or ``None``) guards work that is not free
-even in no-op form.
-
-The one structural addition is the **scope stack**. Campaign layers
-need per-run and per-check maps (serialized onto results, shipped
-across process boundaries) *and* a campaign total — so a session holds
-a stack of :class:`~repro.coverage.map.CoverageMap` scopes. The
-orchestrator pushes a scope around each run and the suite pushes one
-around each check; :meth:`CoverageSession.pop_scope` returns the
-popped map *without* folding it into the parent. Folding is the
-caller's job (``run_test`` merges result-carried snapshots, the suite
-merges check-carried snapshots, in battery order), which makes the
-serial, pooled and store-replayed paths take the same single merge
-route — the root of the workers∈{1,2,4} byte-identity guarantee.
-
-Determinism guarantee: as with telemetry, nothing here feeds back into
-the simulation. Coverage observes sim state but never schedules
-events, draws randomness, or mutates component state — a run with
-coverage enabled produces byte-identical traces and verdicts to a
-disabled run.
+:func:`enable` / :func:`disable` start and end a :mod:`repro.observe`
+session with the metrics facet off: coverage — the guided fuzzer's
+fitness signal — and flight records, without the metrics cost. The
+end-to-end benchmark (``benchmarks/e2e``) turns on its fuzz workload's
+coverage through them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from .map import CoverageMap
-from .recorder import DEFAULT_RING_SIZE, NULL_RECORDER, FlightRecorder
+from .. import observe
 
-__all__ = ["CoverageSession", "DomainHandle", "NullDomainHandle",
-           "NULL_COVERAGE", "NULL_DOMAIN",
-           "enable", "disable", "current", "active", "session"]
+__all__ = ["enable", "disable"]
 
 
-class DomainHandle:
-    """A component's cached handle for one coverage domain.
-
-    Re-reads ``session.live`` on every hit, so handles created before a
-    scope push keep recording into the innermost scope.
-    """
-
-    __slots__ = ("_session", "name")
-    enabled = True
-
-    def __init__(self, session: "CoverageSession", name: str):
-        self._session = session
-        self.name = name
-
-    def hit(self, point: str, now_ns: int = 0) -> None:
-        self._session.live.hit(self.name, point, now_ns)
-
-
-class NullDomainHandle:
-    """Disabled-mode twin: one empty method call per instrumented site."""
-
-    __slots__ = ()
-    enabled = False
-    name = ""
-
-    def hit(self, point: str, now_ns: int = 0) -> None:
-        pass
-
-
-NULL_DOMAIN = NullDomainHandle()
-
-
-class CoverageSession:
-    """A live coverage collection: scope stack + flight-recorder rings."""
-
-    enabled = True
-
-    def __init__(self, out_dir: Optional[str] = None,
-                 ring_size: int = DEFAULT_RING_SIZE):
-        self.out_dir = out_dir
-        self.ring_size = ring_size
-        root = CoverageMap()
-        self._stack: List[CoverageMap] = [root]
-        #: The innermost scope — where hits land right now.
-        self.live: CoverageMap = root
-        self._handles: Dict[str, DomainHandle] = {}
-        self._recorders: Dict[str, FlightRecorder] = {}
-        self._seq = 0  # session-wide flight-record ordering
-
-    # ------------------------------------------------------------------
-    # Handle factories (one per domain/component; idempotent)
-    # ------------------------------------------------------------------
-    def domain(self, name: str) -> DomainHandle:
-        handle = self._handles.get(name)
-        if handle is None:
-            handle = DomainHandle(self, name)
-            self._handles[name] = handle
-        return handle
-
-    def recorder(self, component: str) -> FlightRecorder:
-        rec = self._recorders.get(component)
-        if rec is None:
-            rec = FlightRecorder(self, component, self.ring_size)
-            self._recorders[component] = rec
-        return rec
-
-    # ------------------------------------------------------------------
-    # Scope stack
-    # ------------------------------------------------------------------
-    def push_scope(self) -> None:
-        scope = CoverageMap()
-        self._stack.append(scope)
-        self.live = scope
-
-    def pop_scope(self) -> CoverageMap:
-        """Pop and return the innermost scope. Does NOT merge it up."""
-        if len(self._stack) == 1:
-            raise RuntimeError("cannot pop the root coverage scope")
-        popped = self._stack.pop()
-        self.live = self._stack[-1]
-        return popped
-
-    def scope(self) -> "_CoverageScope":
-        """Context manager: isolate hits, then fold them into the parent.
-
-        ``with session.scope() as run_map:`` pushes a fresh scope, hands
-        it out so the caller can snapshot the isolated delta, and on
-        exit pops it and merges it into the enclosing scope — the
-        push/pop/fold discipline the fuzzer's in-process score path
-        needs, packaged so no exit path can leave the stack unbalanced.
-        """
-        return _CoverageScope(self)
-
-    def merge_snapshot(self, snapshot) -> None:
-        """Fold a result-carried snapshot into the innermost scope."""
-        self.live.merge_snapshot(snapshot)
-
-    def total_snapshot(self) -> List[List]:
-        """Everything the session has seen, across all open scopes."""
-        total = CoverageMap()
-        for scope in self._stack:
-            total.merge_map(scope)
-        return total.snapshot()
-
-    # ------------------------------------------------------------------
-    # Flight recorder
-    # ------------------------------------------------------------------
-    def reset_recorders(self) -> None:
-        """Clear every ring (called at the start of each run attempt)."""
-        for rec in self._recorders.values():
-            rec.clear()
-        self._seq = 0
-
-    def flight_snapshot(self) -> List[List]:
-        """All rings as one timeline, ordered by recording sequence."""
-        entries: List[tuple] = []
-        for component in sorted(self._recorders):
-            entries.extend(self._recorders[component].entries())
-        entries.sort()
-        return [list(entry) for entry in entries]
-
-
-class _CoverageScope:
-    """``with session.scope()`` helper — see :meth:`CoverageSession.scope`."""
-
-    __slots__ = ("_session", "map")
-
-    def __init__(self, session_obj):
-        self._session = session_obj
-        self.map: Optional[CoverageMap] = None
-
-    def __enter__(self) -> CoverageMap:
-        self._session.push_scope()
-        self.map = self._session.live
-        return self.map
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        popped = self._session.pop_scope()
-        self._session.live.merge_map(popped)
-
-
-class _NullCoverageScope:
-    """Disabled-mode twin: hands out a throwaway map, folds nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> CoverageMap:
-        return CoverageMap()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SCOPE = _NullCoverageScope()
-
-
-class _NullCoverageSession:
-    """Shared disabled-mode session; all factories return no-op twins."""
-
-    enabled = False
-    out_dir = None
-    ring_size = 0
-    live = CoverageMap()  # never written: null handles drop hits
-
-    def domain(self, name: str) -> NullDomainHandle:
-        return NULL_DOMAIN
-
-    def recorder(self, component: str):
-        return NULL_RECORDER
-
-    def push_scope(self) -> None:
-        pass
-
-    def pop_scope(self) -> CoverageMap:
-        return CoverageMap()
-
-    def scope(self) -> _NullCoverageScope:
-        return _NULL_SCOPE
-
-    def merge_snapshot(self, snapshot) -> None:
-        pass
-
-    def total_snapshot(self) -> List[List]:
-        return []
-
-    def reset_recorders(self) -> None:
-        pass
-
-    def flight_snapshot(self) -> List[List]:
-        return []
-
-
-NULL_COVERAGE = _NullCoverageSession()
-
-_current: object = NULL_COVERAGE
-
-
-def enable(out_dir: Optional[str] = None,
-           ring_size: int = DEFAULT_RING_SIZE) -> CoverageSession:
-    """Activate a fresh coverage session (replacing any existing one)."""
-    global _current
-    new_session = CoverageSession(out_dir=out_dir, ring_size=ring_size)
-    # repro-lint: ignore[RACE001] — session lifecycle singleton: workers
-    # enable/disable their own session and maps travel via snapshots.
-    _current = new_session  # repro-lint: ignore[RACE001]
-    return new_session
+def enable(out_dir: Optional[str] = None) -> observe.Session:
+    """Start a coverage-only observation session and return it."""
+    return observe.enable(out_dir, metrics=False)
 
 
 def disable() -> None:
-    """Deactivate coverage; components fall back to no-op twins."""
-    global _current
-    _current = NULL_COVERAGE  # repro-lint: ignore[RACE001] — lifecycle
-
-
-def current():
-    """The active session, or :data:`NULL_COVERAGE`. Never None."""
-    return _current
-
-
-def active() -> Optional[CoverageSession]:
-    """The active session, or ``None`` when coverage is disabled."""
-    return _current if _current.enabled else None
-
-
-class session:
-    """Context manager: ``with coverage.session() as cov: ...``."""
-
-    def __init__(self, out_dir: Optional[str] = None,
-                 ring_size: int = DEFAULT_RING_SIZE):
-        self._out_dir = out_dir
-        self._ring_size = ring_size
-        self.session: Optional[CoverageSession] = None
-
-    def __enter__(self) -> CoverageSession:
-        self.session = enable(self._out_dir, ring_size=self._ring_size)
-        return self.session
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        disable()
+    """End the live observation session."""
+    observe.disable()

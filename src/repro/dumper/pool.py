@@ -13,7 +13,7 @@ from typing import List
 from ..net.link import connect
 from ..sim.engine import Simulator
 from ..switch.pipeline import TofinoSwitch
-from ..telemetry import runtime as telemetry
+from .. import observe
 from .records import DumpRecord
 from .server import DumperServer
 
@@ -53,14 +53,14 @@ class DumperPool:
         connect(switch_port, server.port, propagation_delay_ns)
         self.servers.append(server)
         self._disk_gauges.append(
-            telemetry.current().gauge("dumper_disk_records", server=name))
+            observe.current().gauge("dumper_disk_records", server=name))
         return server
 
     def terminate_all(self) -> List[DumpRecord]:
         """Send TERM to every server; returns all records, unsorted."""
         records: List[DumpRecord] = []
         counts: List[int] = []
-        tel = telemetry.current()
+        tel = observe.current()
         for server, gauge in zip(self.servers, self._disk_gauges):
             written = server.terminate()
             records.extend(written)

@@ -21,7 +21,7 @@ from typing import List, Optional
 from ..net.link import Node, Port
 from ..net.packet import Packet
 from ..sim.engine import Simulator
-from ..telemetry import runtime as telemetry
+from .. import observe
 from .records import DumpRecord, make_record
 
 __all__ = ["DumperServer"]
@@ -93,7 +93,7 @@ class DumperServer(Node):
         self._disk_file: Optional[List[DumpRecord]] = None
         self.rx_discards = 0
         self.term_dropped = 0
-        tel = telemetry.current()
+        tel = observe.current()
         self._m_records = tel.counter("dumper_records", server=name)
         self._m_discards = tel.counter("dumper_discards", server=name)
         self._m_ring = [

@@ -11,7 +11,7 @@ while keeping results byte-identical to serial execution:
 * :mod:`repro.exec.tasks` — the picklable task functions (score a fuzz
   candidate, run a conformance check, summarise a sweep run).
 * :mod:`repro.exec.worker` — the worker-side shim that wraps each task
-  in a worker-local telemetry session.
+  in a worker-local observation session.
 """
 
 from .runner import (ParallelRunner, RunnerStats, TaskOutcome,

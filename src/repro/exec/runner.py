@@ -12,9 +12,9 @@ ProcessPoolExecutor` and hides the operational sharp edges:
 * a worker crash (``BrokenProcessPool``) re-runs the affected tasks on
   a fresh pool, and after ``max_retries`` attempts runs them in-process
   so a dying pool never loses campaign work,
-* per-worker telemetry registries are snapshotted in the worker and
-  merged into the parent's active session in task order, keeping
-  merged metrics deterministic for any worker count.
+* per-worker metrics registries are snapshotted in the worker and
+  merged into the parent's live session in task order, keeping merged
+  metrics deterministic for any worker count.
 
 Determinism contract: the runner never reorders results (outcome ``i``
 always corresponds to payload ``i``) and injects no randomness, so any
@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..coverage import runtime as coverage
-from ..telemetry import runtime as telemetry
+from .. import observe
 from . import worker as worker_mod
 
 __all__ = ["TaskOutcome", "RunnerStats", "ParallelRunner",
@@ -238,9 +237,10 @@ class ParallelRunner:
                         f"picklable data")
         n = len(payloads)
         outcomes: List[Optional[TaskOutcome]] = [None] * n
-        session = telemetry.active()
-        collect = session is not None and self.workers > 1
-        collect_cov = coverage.active() is not None and self.workers > 1
+        # Pool workers open a private session with the parent's facets.
+        obs = observe.active()
+        metrics = obs.metrics if obs is not None and self.workers > 1 \
+            else None
 
         pending = list(range(n))
         attempts = [0] * n
@@ -254,7 +254,7 @@ class ParallelRunner:
                 break
             futures = {
                 i: pool.submit(worker_mod.invoke, self.task_fn,
-                               payloads[i], collect, collect_cov)
+                               payloads[i], metrics)
                 for i in pending
             }
             next_pending: List[int] = []
@@ -311,7 +311,7 @@ class ParallelRunner:
 
         # Merge worker telemetry in task order so the parent registry
         # is identical for any worker count / completion order.
-        if session is not None:
+        if obs is not None:
             for i in sorted(snapshots):
-                session.registry.merge(snapshots[i])
+                obs.registry.merge(snapshots[i])
         return outcomes  # type: ignore[return-value]

@@ -142,10 +142,10 @@ def telemetry_probe_task(payload: Dict[str, Any]) -> int:
     private session and reaches the parent only via the snapshot
     shipped back with the result.
     """
-    from ..telemetry import runtime as telemetry
+    from .. import observe
 
     n = int(payload.get("n", 1))
-    telemetry.current().counter("exec_probe_events").inc(n)
+    observe.current().counter("exec_probe_events").inc(n)
     return n
 
 

@@ -2,21 +2,25 @@
 
 Everything here must be importable by a freshly ``spawn``-ed process:
 the :class:`~repro.exec.runner.ParallelRunner` submits
-``invoke(task_fn, payload, collect_telemetry)`` to the pool, and the
-child pickles ``task_fn`` *by reference* — so task functions must be
-plain module-level callables (see :mod:`repro.exec.tasks`).
+``invoke(task_fn, payload, metrics)`` to the pool, and the child
+pickles ``task_fn`` *by reference* — so task functions must be plain
+module-level callables (see :mod:`repro.exec.tasks`).
 
-Each invocation optionally runs under a private, worker-local
-telemetry session. The session's metrics registry is snapshotted into
-a plain, picklable structure and shipped back alongside the task value
-so the parent can merge it into its own registry (span traces stay in
-the worker; only metrics cross the process boundary — they are compact
-and mergeable, traces are neither).
+When the parent is observed, each invocation runs under a private,
+worker-local observation session with the parent's facets. Coverage
+crosses the process boundary on the task's *return value* (results,
+scores and check verdicts carry their own snapshots); the metrics
+registry is snapshotted into a plain, picklable structure and shipped
+back alongside the value so the parent can merge it into its own
+(span traces stay in the worker — metrics are compact and mergeable,
+traces are neither).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Tuple
+
+from .. import observe
 
 #: True inside pool workers (set by the pool initializer). Task
 #: functions may consult this to tell pool execution apart from the
@@ -34,36 +38,16 @@ def init_worker() -> None:
 
 
 def invoke(task_fn: Callable[[Any], Any], payload: Any,
-           collect_telemetry: bool,
-           collect_coverage: bool = False) -> Tuple[Any, Optional[list]]:
-    """Run one task, optionally under worker-local observability sessions.
+           metrics: Optional[bool]) -> Tuple[Any, Optional[list]]:
+    """Run one task, optionally under a worker-local observation session.
 
-    Returns ``(value, metrics_snapshot_or_None)``. Raises whatever the
-    task raises — the parent maps exceptions to error outcomes.
-
-    With ``collect_coverage`` a private coverage session is active for
-    the task's duration; coverage data crosses the process boundary on
-    the task's *return value* (results/scores/check verdicts carry
-    their own snapshots), so nothing coverage-related is added to the
-    return tuple.
+    ``metrics`` is None to run unobserved, else the metrics facet of
+    the session to open. Returns ``(value, metrics_snapshot_or_None)``.
+    Raises whatever the task raises — the parent maps exceptions to
+    error outcomes.
     """
-    if collect_coverage:
-        from ..coverage import runtime as coverage
-
-        coverage.enable()
-    try:
-        if not collect_telemetry:
-            return task_fn(payload), None
-        from ..telemetry import runtime as telemetry
-
-        session = telemetry.enable(None)
-        try:
-            value = task_fn(payload)
-            return value, session.registry.snapshot()
-        finally:
-            telemetry.disable()
-    finally:
-        if collect_coverage:
-            from ..coverage import runtime as coverage
-
-            coverage.disable()
+    if metrics is None:
+        return task_fn(payload), None
+    with observe.session(metrics=metrics) as obs:
+        value = task_fn(payload)
+        return value, obs.registry.snapshot() or None

@@ -19,7 +19,7 @@ from ..net.link import Port
 from ..net.packet import Packet
 from ..sim.engine import Simulator
 from ..sim.rng import SimRandom
-from ..telemetry import runtime as telemetry
+from .. import observe
 
 __all__ = ["MeasurementFaultInjector"]
 
@@ -39,7 +39,7 @@ class MeasurementFaultInjector:
         #: drain must not declare quiescence while any are in flight.
         self.pending_delayed = 0
         self._burst_left = 0
-        tel = telemetry.current()
+        tel = observe.current()
         self._m_dropped = tel.counter("fault_mirror_dropped")
         self._m_delayed = tel.counter("fault_mirror_delayed")
 

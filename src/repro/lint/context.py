@@ -229,9 +229,9 @@ class ModuleContext:
 
         Handles alias substitution at the head of the chain and keeps a
         ``()`` marker for intermediate calls, so
-        ``telemetry.current().counter`` (with ``telemetry`` imported
-        from ``repro.telemetry.runtime``) resolves to
-        ``repro.telemetry.runtime.current().counter``.
+        ``observe.current().counter`` (with ``observe`` imported via
+        ``from repro import observe``) resolves to
+        ``repro.observe.current().counter``.
         """
         parts: List[str] = []
         while True:

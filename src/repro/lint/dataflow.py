@@ -23,7 +23,7 @@ FLOW002    RNG provenance. Every stream must descend from the seeded
 RACE001    Spawn-safety races. Module-level mutable state written on
            any call path reachable from a ``ParallelRunner`` task
            function diverges between pool workers and the in-process
-           fallback; coverage/telemetry ``merge*()`` calls outside the
+           fallback; observation-session ``merge*()`` calls outside the
            declared single merge points break the "merge once, in
            deterministic order" contract that keeps campaign maps
            byte-identical across worker counts.
@@ -79,7 +79,9 @@ def run_program_rules(program: Program,
 # Shared helpers
 # ======================================================================
 def _is_telemetry_path(path: str) -> bool:
-    return "telemetry" in path.split("/")[:-1]
+    """The metrics facet's modules: telemetry/ and the session itself."""
+    return "telemetry" in path.split("/")[:-1] or \
+        path.endswith("repro/observe.py")
 
 
 def _leaf(qname: str) -> str:
@@ -505,7 +507,7 @@ class SpawnRaceRule(ProgramRule):
     severity = Severity.ERROR
     description = ("module-level mutable state written on a path "
                    "reachable from a ParallelRunner task fn, or a "
-                   "coverage/telemetry merge outside the declared merge "
+                   "observation-session merge outside the declared merge "
                    "points")
 
     _MUTATORS = {"append", "add", "update", "setdefault", "pop", "clear",
@@ -525,8 +527,9 @@ class SpawnRaceRule(ProgramRule):
         "core.fuzz.fuzzer.LuminaFuzzer.run",
         "core.sweep.run_sweep",
     )
-    _MERGE_RECEIVER_HINTS = ("coverage", "telemetry", "registry")
-    _MERGE_RECEIVER_NAMES = {"cov", "session", "registry", "total", "tel"}
+    _MERGE_RECEIVER_HINTS = ("observe", "coverage", "telemetry", "registry")
+    _MERGE_RECEIVER_NAMES = {"obs", "cov", "session", "registry", "total",
+                             "tel"}
 
     def check_program(self, program: Program) -> Iterator[Finding]:
         reach = program.reachable_from(worker_root_qnames(program))
@@ -648,7 +651,8 @@ class SpawnRaceRule(ProgramRule):
     def _check_merge_discipline(self, program: Program, ctx: ModuleContext,
                                 info) -> Iterator[Finding]:
         parts = info.path.split("/")[:-1]
-        if "coverage" in parts or "telemetry" in parts:
+        if "coverage" in parts or "telemetry" in parts or \
+                info.path.endswith("repro/observe.py"):
             return  # the merge implementations themselves
         if any(info.qname.endswith(point) for point in self._MERGE_POINTS):
             return

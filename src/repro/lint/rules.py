@@ -162,7 +162,7 @@ _DET001_SCOPED_ALLOW = {
 _DET_SCOPE_DIRS = ("sim", "switch", "rdma", "core", "faults", "dumper",
                    "store", "coverage", "exec")
 #: Single files in scope that live outside those directories.
-_DET_SCOPE_FILES = ("api.py",)
+_DET_SCOPE_FILES = ("api.py", "observe.py")
 
 
 def in_det001_scope(path: str) -> bool:
@@ -183,7 +183,7 @@ class WallClockRule(Rule):
     severity = Severity.ERROR
     description = ("wall-clock call inside simulation code "
                    "(sim/, switch/, rdma/, core/, faults/, dumper/, "
-                   "store/, coverage/, exec/, api.py)")
+                   "store/, coverage/, exec/, api.py, observe.py)")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not in_det001_scope(ctx.path):
@@ -477,10 +477,12 @@ class SpawnSafetyRule(Rule):
 
 
 # ======================================================================
-# TEL001 — telemetry/coverage handle construction in loop bodies
+# TEL001 — observation handle construction in loop bodies
 # ======================================================================
-_SESSION_NAME_HINTS = {"tel", "telemetry", "session", "sess", "registry",
-                       "cov", "coverage"}
+_SESSION_NAME_HINTS = {"obs", "observe", "tel", "telemetry", "session",
+                       "sess", "registry", "cov", "coverage"}
+#: Dotted-name fragments that mark the observation session's modules.
+_SESSION_MODULE_HINTS = ("observe", "telemetry", "coverage")
 _HANDLE_FACTORIES = {"counter", "gauge", "histogram", "domain", "recorder"}
 
 
@@ -516,7 +518,7 @@ class TelemetryHandleRule(Rule):
 
     @staticmethod
     def _session_locals(ctx: ModuleContext) -> Set[str]:
-        """Names assigned from telemetry/coverage current()/active()/
+        """Names assigned from the session's current()/active()/
         enable()."""
         names: Set[str] = set()
         for node in ast.walk(ctx.tree):
@@ -527,7 +529,7 @@ class TelemetryHandleRule(Rule):
             if callee is None:
                 continue
             if callee.endswith((".current", ".active", ".enable")) and \
-                    ("telemetry" in callee or "coverage" in callee):
+                    any(h in callee for h in _SESSION_MODULE_HINTS):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         names.add(target.id)
@@ -537,8 +539,8 @@ class TelemetryHandleRule(Rule):
     def _receiver_is_session(ctx: ModuleContext, receiver: ast.AST,
                              session_locals: Set[str]) -> bool:
         resolved = ctx.resolve(receiver)
-        if resolved is not None and ("telemetry" in resolved
-                                     or "coverage" in resolved):
+        if resolved is not None and \
+                any(h in resolved for h in _SESSION_MODULE_HINTS):
             return True
         if isinstance(receiver, ast.Name):
             return (receiver.id in session_locals

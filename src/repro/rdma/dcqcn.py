@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional
 
-from ..coverage import runtime as coverage
+from .. import observe
 from ..sim.engine import Simulator, US
 from .profiles import CnpLimitMode, RnicProfile
 
@@ -67,7 +67,7 @@ class DcqcnRp:
         # Rate-increase stage counters (timer events and byte events).
         self._timer_rounds = 0
         self._byte_rounds = 0
-        self._cov = coverage.current().domain("rdma.dcqcn")
+        self._cov = observe.current().domain("rdma.dcqcn")
 
     # ------------------------------------------------------------------
     def handle_cnp(self) -> None:

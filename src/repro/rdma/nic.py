@@ -23,13 +23,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from ..coverage import runtime as coverage
+from .. import observe
 from ..net.headers import Opcode, ECN_CE
 from ..net.link import Node, Port, gbps
 from ..net.packet import Packet
 from ..sim.engine import Simulator, MS
 from ..sim.rng import SimRandom
-from ..telemetry import runtime as telemetry
 from .counters import NicCounters
 from .dcqcn import CnpRateLimiter, DcqcnParams
 from .ets import EtsQueueConfig, EtsScheduler
@@ -93,25 +92,21 @@ class RdmaNic(Node):
         # reorder packets (the pipeline is a FIFO in hardware).
         self._rx_dispatch_floor = 0
 
-        # Telemetry handles, shared by this NIC's QPs (no-op twins when
-        # telemetry is disabled — see repro.telemetry).
-        tel = telemetry.current()
-        self._tel = telemetry.active()
-        self._m_retrans = tel.counter("nic_retransmitted_packets", host=name)
-        self._m_timer_arm = tel.counter("nic_timer_armed", host=name)
-        self._m_timer_cancel = tel.counter("nic_timer_cancelled", host=name)
-        self._m_timeout = tel.counter("nic_timeout_fired", host=name)
-        self._m_cnp_sent = tel.counter("nic_cnp_sent", host=name)
-        self._m_cnp_handled = tel.counter("nic_cnp_handled", host=name)
-        self._m_rate_updates = tel.counter("nic_dcqcn_rate_updates", host=name)
-        self._m_rate = tel.gauge("nic_dcqcn_rate_bps", host=name)
-
-        # Coverage handles, shared with this NIC's QPs (no-op twins when
-        # coverage is disabled — see repro.coverage).
-        cov = coverage.current()
-        self._cov_nic = cov.domain("rdma.nic")
-        self._cov_gbn = cov.domain("rdma.gbn")
-        self._rec = cov.recorder(f"nic:{name}")
+        # Observation handles, shared by this NIC's QPs (no-op twins when
+        # nothing is observed — see repro.observe).
+        obs = observe.current()
+        self._tel = obs if obs.metrics else None
+        self._m_retrans = obs.counter("nic_retransmitted_packets", host=name)
+        self._m_timer_arm = obs.counter("nic_timer_armed", host=name)
+        self._m_timer_cancel = obs.counter("nic_timer_cancelled", host=name)
+        self._m_timeout = obs.counter("nic_timeout_fired", host=name)
+        self._m_cnp_sent = obs.counter("nic_cnp_sent", host=name)
+        self._m_cnp_handled = obs.counter("nic_cnp_handled", host=name)
+        self._m_rate_updates = obs.counter("nic_dcqcn_rate_updates", host=name)
+        self._m_rate = obs.gauge("nic_dcqcn_rate_bps", host=name)
+        self._cov_nic = obs.domain("rdma.nic")
+        self._cov_gbn = obs.domain("rdma.gbn")
+        self._rec = obs.recorder(f"nic:{name}")
 
     # ------------------------------------------------------------------
     # QP management

@@ -34,7 +34,7 @@ from ..net.headers import (
     UdpHeader,
     ECN_ECT0,
 )
-from ..coverage import runtime as coverage
+from .. import observe
 from ..net.packet import Packet
 from ..net.addressing import ROCEV2_UDP_PORT
 from .dcqcn import DcqcnRp
@@ -188,7 +188,7 @@ class QueuePair:
         # Coverage: GBN state-machine edges share the NIC's domain
         # handle; the flight recorder ring is per-QP.
         self._cov_gbn = nic._cov_gbn
-        self._rec = coverage.current().recorder(
+        self._rec = observe.current().recorder(
             f"qp:{nic.name}:{qp_num:#x}")
 
     # ------------------------------------------------------------------

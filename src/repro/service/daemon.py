@@ -5,8 +5,8 @@ State-directory layout (everything the daemon knows survives a kill)::
     <state_dir>/
       queue.jsonl        # the journaled job queue
       store/             # shared campaign store (results + unit caches)
-      jobs/<job-id>/     # per-job: spec.json, result.json, coverage/
-                         # and telemetry/ exports
+      jobs/<job-id>/     # per-job: spec.json, result.json and the
+                         # observe/ export of an observed job
       campaigns/<fp>/    # fuzz generation journals, keyed by spec
                          # fingerprint (survive resubmission)
 
@@ -22,7 +22,9 @@ import os
 import threading
 from typing import Dict, Optional
 
+from ..coverage.report import COVERAGE_FILE
 from .dispatcher import Dispatcher
+from .jobs import OBSERVE_DIR
 from .queue import Job, JobQueue
 from .retention import RetentionDaemon
 
@@ -137,10 +139,10 @@ class CampaignDaemon:
     def progress_body(self, job: Job) -> Dict:
         """Incremental progress for one job, fed from on-disk state.
 
-        Fuzz jobs report their campaign journal's latest generation;
-        coverage-enabled jobs report the exported point count; both are
+        Fuzz jobs report their campaign journal's latest generation,
         written incrementally by the job process, so this works while
-        the job is still running.
+        the job is still running; observed jobs report the exported
+        coverage point count once they finish.
         """
         body: Dict = {"id": job.id, "state": job.state.value,
                       "job-kind": job.spec.kind}
@@ -158,7 +160,7 @@ class CampaignDaemon:
             if last is not None:
                 body["generation"] = last.get("generation")
                 body["completed-iterations"] = last.get("completed")
-        coverage_path = os.path.join(job_dir, "coverage", "coverage.json")
+        coverage_path = os.path.join(job_dir, OBSERVE_DIR, COVERAGE_FILE)
         if os.path.exists(coverage_path):
             import json
 
@@ -168,6 +170,4 @@ class CampaignDaemon:
                 body["coverage-points"] = len(doc.get("points", []))
             except (OSError, json.JSONDecodeError):
                 pass  # a torn snapshot just means "no number yet"
-        if os.path.isdir(os.path.join(job_dir, "telemetry")):
-            body["telemetry-exported"] = True
         return body

@@ -1,8 +1,8 @@
 """Job execution: the one path every campaign front-end shares.
 
 :func:`execute_jobspec` turns a :class:`~repro.service.jobspec.JobSpec`
-into a finished :class:`JobOutcome` — report text, exit code, encoded
-result document and flight-recorder dumps — with semantics identical
+into a finished :class:`JobOutcome` — report text, exit code and
+encoded result document — with semantics identical
 to the historical one-shot CLI commands. ``python -m repro suite``,
 ``repro.api.run_suite`` and a daemon-dispatched suite job all call this
 function, which is what makes service results byte-identical to local
@@ -10,26 +10,30 @@ ones.
 
 :func:`job_worker_main` is the module-level entry point the dispatcher
 spawns as an isolated job process (picklable by reference, like
-:mod:`repro.exec.tasks`): it opens the shared campaign store, enables
-the telemetry/coverage sessions the spec asked for, executes, and
-atomically persists ``result.json`` into the job directory.
+:mod:`repro.exec.tasks`): it opens the shared campaign store, observes
+the job when the spec asks for it, executes, and atomically persists
+``result.json`` into the job directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
+from .. import observe
 from .jobspec import JobSpec, decode_jobspec
 
 __all__ = ["JobOutcome", "execute_jobspec", "result_document",
            "write_result_document", "read_result_document",
-           "job_worker_main", "RESULT_FILE"]
+           "job_worker_main", "RESULT_FILE", "OBSERVE_DIR"]
 
 #: The result document's file name inside a job directory.
 RESULT_FILE = "result.json"
+#: The observation directory's name inside a job directory.
+OBSERVE_DIR = "observe"
 
 
 @dataclass
@@ -42,6 +46,8 @@ class JobOutcome:
     api-facade callers; ``data`` the JSON-encoded artefacts that go
     into the result document; ``notes`` stdout-only banner lines (never
     part of the document); ``stats`` small JSON-able execution counts.
+    Flight-recorder timelines of anomalous runs and checks are queued
+    on the live observation session, which dumps them on export.
     """
 
     kind: str
@@ -49,8 +55,6 @@ class JobOutcome:
     exit_code: int
     value: Any = None
     data: Dict = field(default_factory=dict)
-    flight_records: List[Tuple[str, str, List[list]]] = \
-        field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     stats: Dict = field(default_factory=dict)
 
@@ -74,16 +78,14 @@ def _execute_run(spec: JobSpec, store) -> JobOutcome:
     if scenario is not None:
         config = scenario.apply(config)
     result = run_test(config, store=store)
-    flights: List[Tuple[str, str, List[list]]] = []
     if result.flight_record:
         trigger = ("integrity-retry" if result.integrity.ok
                    else "integrity-fail")
-        flights.append((f"run-seed{config.seed}", trigger,
-                        result.flight_record))
+        observe.current().dump_flight(f"run-seed{config.seed}", trigger,
+                                      result.flight_record)
     return JobOutcome(kind="run", report=render_report(result),
                       exit_code=0 if result.ok else 1, value=result,
-                      data={"result": encode_result(result)},
-                      flight_records=flights)
+                      data={"result": encode_result(result)})
 
 
 def _execute_suite(spec: JobSpec, store) -> JobOutcome:
@@ -96,17 +98,16 @@ def _execute_suite(spec: JobSpec, store) -> JobOutcome:
                                  workers=spec.workers,
                                  faults=payload.get("faults") or None,
                                  store=store)
-    flights = [
-        (check.name, check.outcome.value if check.outcome else "FAIL",
-         check.flight_record)
-        for check in card.results if check.flight_record
-    ]
+    for check in card.results:
+        if check.flight_record:
+            observe.current().dump_flight(
+                check.name, check.outcome.value if check.outcome else "FAIL",
+                check.flight_record)
     return JobOutcome(
         kind="suite", report=card.render(),
         exit_code=0 if card.all_passed else 1, value=card,
         data={"nic": card.nic,
-              "results": [encode_check_result(c) for c in card.results]},
-        flight_records=flights)
+              "results": [encode_check_result(c) for c in card.results]})
 
 
 def _execute_fuzz(spec: JobSpec, store,
@@ -243,16 +244,6 @@ def read_result_document(job_dir: str) -> Optional[Dict]:
 # The spawned job process
 # ---------------------------------------------------------------------------
 
-def _write_job_flight_dumps(outcome: JobOutcome, coverage_dir: str) -> None:
-    from ..coverage.report import flight_dump_name, render_flight_record
-
-    os.makedirs(coverage_dir, exist_ok=True)
-    for name, trigger, entries in outcome.flight_records:
-        path = os.path.join(coverage_dir, flight_dump_name(name))
-        with open(path, "w") as handle:
-            handle.write(render_flight_record(entries, name, trigger))
-
-
 def job_worker_main(spec_doc: Dict, job_dir: str,
                     store_root: Optional[str],
                     campaign_dir: Optional[str] = None) -> Dict:
@@ -261,9 +252,9 @@ def job_worker_main(spec_doc: Dict, job_dir: str,
     The dispatcher's process executor spawns this as the child's
     target; the inline executor calls it directly. Either way the
     result document lands atomically in ``job_dir/result.json`` (and is
-    returned, for in-process callers). Telemetry and coverage sessions
-    requested by the spec are scoped to this function and export into
-    the job directory.
+    returned, for in-process callers). A spec that asks to be observed
+    runs under an observation session that exports into
+    ``job_dir/observe/``.
 
     ``campaign_dir`` hosts a fuzz job's generation journal. The
     dispatcher keys it by spec *fingerprint* (not job id), so a fuzz
@@ -278,44 +269,12 @@ def job_worker_main(spec_doc: Dict, job_dir: str,
         from ..store import CampaignStore
 
         store = CampaignStore(store_root)
-    wants_coverage = bool(spec.payload.get("coverage"))
-    wants_telemetry = bool(spec.payload.get("telemetry"))
-    coverage_dir = os.path.join(job_dir, "coverage")
-    if wants_telemetry:
-        from ..telemetry import runtime as telemetry
-
-        telemetry.enable(os.path.join(job_dir, "telemetry"))
-    if wants_coverage:
-        from ..coverage import runtime as coverage
-
-        coverage.enable(coverage_dir)
-    try:
+    session = (observe.session(os.path.join(job_dir, OBSERVE_DIR))
+               if spec.payload.get("observe") else contextlib.nullcontext())
+    with session:
         outcome = execute_jobspec(
             spec, store=store,
             campaign_dir=campaign_dir if spec.kind == "fuzz" else None)
-        if wants_coverage:
-            from ..coverage import runtime as coverage
-            from ..coverage.report import export_coverage
-
-            _write_job_flight_dumps(outcome, coverage_dir)
-            session = coverage.active()
-            if session is not None:
-                export_coverage(session.total_snapshot(), coverage_dir)
-        if wants_telemetry:
-            from ..telemetry import runtime as telemetry
-
-            session = telemetry.active()
-            if session is not None:
-                session.export()
-    finally:
-        if wants_coverage:
-            from ..coverage import runtime as coverage
-
-            coverage.disable()
-        if wants_telemetry:
-            from ..telemetry import runtime as telemetry
-
-            telemetry.disable()
     doc = result_document(spec, outcome)
     write_result_document(doc, job_dir)
     return doc

@@ -33,33 +33,29 @@ JOB_KINDS = ("run", "suite", "fuzz", "sweep")
 #: Allowed payload keys per kind — submissions with unknown keys are
 #: rejected up front (a typoed knob must not silently fingerprint as a
 #: different job).
-_SESSION_KEYS = {"coverage", "telemetry"}
 _PAYLOAD_KEYS = {
-    "run": {"config", "faults"} | _SESSION_KEYS,
-    "suite": {"nic", "seed", "checks", "faults"} | _SESSION_KEYS,
+    "run": {"config", "faults", "observe"},
+    "suite": {"nic", "seed", "checks", "faults", "observe"},
     "fuzz": {"config", "target", "nic", "seed", "iterations", "batch",
-             "threshold", "stop-on-first", "coverage-fitness",
-             "faults"} | _SESSION_KEYS,
+             "threshold", "stop-on-first", "coverage-fitness", "faults",
+             "observe"},
     "sweep": {"config", "nics", "seeds", "base-seed", "verb",
-              "connections", "messages", "size", "faults",
-              "timeout"} | _SESSION_KEYS,
+              "connections", "messages", "size", "faults", "timeout",
+              "observe"},
 }
 
 
-def _with_sessions(payload: Dict, coverage: bool,
-                   telemetry: bool) -> Dict:
-    """Fold session requests into a payload.
+def _observed(payload: Dict, observe: bool) -> Dict:
+    """Fold an observation request into a payload.
 
-    The keys appear only when enabled, so a plain spec fingerprints
-    identically to one built before sessions existed — and a
-    coverage-annotated job (whose inner runs cache at coverage-flagged
-    store addresses) is a *different* document from a plain one, just
-    as ``--coverage`` changes a local campaign's store addresses.
+    The key appears only when set, so a plain spec fingerprints
+    identically to one built before observation existed — and an
+    observed job (whose inner runs cache at coverage-flagged store
+    addresses) is a *different* document from a plain one, just as
+    ``--observe`` changes a local campaign's store addresses.
     """
-    if coverage:
-        payload["coverage"] = True
-    if telemetry:
-        payload["telemetry"] = True
+    if observe:
+        payload["observe"] = True
     return payload
 
 
@@ -115,23 +111,23 @@ class JobSpec:
     # -- constructors (one per campaign command) ------------------------
     @classmethod
     def for_run(cls, config: Union[TestConfig, Dict],
-                faults: Optional[str] = None, coverage: bool = False,
-                telemetry: bool = False, **opts) -> "JobSpec":
+                faults: Optional[str] = None, observe: bool = False,
+                **opts) -> "JobSpec":
         """One end-to-end test run of ``config`` (dict or TestConfig)."""
-        return cls("run", _with_sessions(
+        return cls("run", _observed(
             {"config": _config_dict(config), "faults": faults},
-            coverage, telemetry), **opts)
+            observe), **opts)
 
     @classmethod
     def for_suite(cls, nic: str, seed: Optional[int] = None,
                   checks: Optional[List[str]] = None,
-                  faults: Optional[str] = None, coverage: bool = False,
-                  telemetry: bool = False, **opts) -> "JobSpec":
+                  faults: Optional[str] = None, observe: bool = False,
+                  **opts) -> "JobSpec":
         """The conformance battery (or a subset) against one NIC model."""
-        return cls("suite", _with_sessions(
+        return cls("suite", _observed(
             {"nic": nic, "seed": seed,
              "checks": list(checks) if checks else None,
-             "faults": faults}, coverage, telemetry), **opts)
+             "faults": faults}, observe), **opts)
 
     @classmethod
     def for_fuzz(cls, config: Union[TestConfig, Dict, None] = None,
@@ -140,19 +136,19 @@ class JobSpec:
                  batch: int = 4, threshold: float = 3.0,
                  stop_on_first: bool = False,
                  coverage_fitness: Optional[bool] = None,
-                 faults: Optional[str] = None, coverage: bool = False,
-                 telemetry: bool = False, **opts) -> "JobSpec":
+                 faults: Optional[str] = None, observe: bool = False,
+                 **opts) -> "JobSpec":
         """Algorithm-1 fuzzing around a config or a named target."""
         if config is None and target is None:
             raise ValueError("fuzz jobs need a config or a target")
-        return cls("fuzz", _with_sessions(
+        return cls("fuzz", _observed(
             {"config": _config_dict(config),
              "target": target, "nic": nic, "seed": seed,
              "iterations": iterations, "batch": batch,
              "threshold": threshold,
              "stop-on-first": bool(stop_on_first),
              "coverage-fitness": coverage_fitness,
-             "faults": faults}, coverage, telemetry), **opts)
+             "faults": faults}, observe), **opts)
 
     @classmethod
     def for_sweep(cls, nics: List[str], seeds: int = 1, base_seed: int = 1,
@@ -160,17 +156,17 @@ class JobSpec:
                   verb: str = "write", connections: int = 2,
                   messages: int = 4, size: int = 20480,
                   faults: Optional[str] = None,
-                  timeout: Optional[float] = None, coverage: bool = False,
-                  telemetry: bool = False, **opts) -> "JobSpec":
+                  timeout: Optional[float] = None, observe: bool = False,
+                  **opts) -> "JobSpec":
         """One workload across a NIC × seed grid."""
-        return cls("sweep", _with_sessions(
+        return cls("sweep", _observed(
             {"config": _config_dict(config),
              "nics": list(nics), "seeds": seeds,
              "base-seed": base_seed, "verb": verb,
              "connections": connections,
              "messages": messages, "size": size,
              "faults": faults, "timeout": timeout},
-            coverage, telemetry), **opts)
+            observe), **opts)
 
 
 def encode_jobspec(spec: JobSpec) -> Dict:

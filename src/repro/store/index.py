@@ -17,7 +17,7 @@ import json
 import os
 from typing import Dict, Iterator, Optional
 
-from ..telemetry import runtime as telemetry
+from .. import observe
 
 __all__ = ["CampaignStore", "StoreError"]
 
@@ -43,7 +43,7 @@ class CampaignStore:
     fingerprint (:mod:`repro.store.fingerprint`), probe ``get`` before
     dispatching work, and ``put`` fresh outcomes after. Hits and misses
     are tallied locally (for the CLI's campaign summary) and on the
-    telemetry session (``store_hits`` / ``store_misses``).
+    observation session (``store_hits`` / ``store_misses``).
     """
 
     def __init__(self, root: str):
@@ -87,7 +87,7 @@ class CampaignStore:
         entry = self._index.get(fp)
         if entry is None:
             self.misses += 1
-            telemetry.current().counter("store_misses").inc()
+            observe.current().counter("store_misses").inc()
             return None
         try:
             with open(self._object_path(fp), "r", encoding="utf-8") as handle:
@@ -97,10 +97,10 @@ class CampaignStore:
             self._index.pop(fp, None)
             self._save_index()
             self.misses += 1
-            telemetry.current().counter("store_misses").inc()
+            observe.current().counter("store_misses").inc()
             return None
         self.hits += 1
-        telemetry.current().counter("store_hits").inc()
+        observe.current().counter("store_hits").inc()
         return obj["data"]
 
     def put(self, fp: str, kind: str, data) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..coverage import runtime as coverage
+from .. import observe
 
 __all__ = ["IterTracker", "ConnState"]
 
@@ -44,7 +44,7 @@ class IterTracker:
     def __init__(self, max_connections: int = 10_000):
         self.max_connections = max_connections
         self._conns: Dict[Tuple[int, int, int], ConnState] = {}
-        self._cov = coverage.current().domain("switch.iter")
+        self._cov = observe.current().domain("switch.iter")
 
     def update(self, src_ip: int, dst_ip: int, dst_qpn: int, psn: int,
                now_ns: int = 0) -> int:

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from ..coverage import runtime as coverage
+from .. import observe
 from ..net.link import Port
 from ..net.packet import Packet
 from ..sim.rng import SimRandom
-from ..telemetry import runtime as telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..faults.injector import MeasurementFaultInjector
@@ -69,10 +68,10 @@ class MirrorBlock:
         self._faults = faults
         self.mirror_seq = 0          # next sequence number to assign
         self.mirrored_packets = 0
-        tel = telemetry.current()
-        self._m_mirrored = tel.counter("switch_mirrored_packets")
-        self._m_queue = tel.gauge("switch_mirror_queue_bytes")
-        self._cov = coverage.current().domain("switch.mirror")
+        obs = observe.current()
+        self._m_mirrored = obs.counter("switch_mirrored_packets")
+        self._m_queue = obs.gauge("switch_mirror_queue_bytes")
+        self._cov = obs.domain("switch.mirror")
 
     def add_target(self, port: Port, weight: int = 1) -> None:
         self._targets.append(MirrorTarget(port=port, weight=weight))

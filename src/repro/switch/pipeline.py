@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..coverage import runtime as coverage
+from .. import observe
 from ..net.headers import ECN_CE
 from ..net.link import Node, Port
 from ..net.packet import EventType, Packet
 from ..sim.engine import Simulator
 from ..sim.rng import SimRandom
-from ..telemetry import runtime as telemetry
 from .events import EventAction, EventEntry, RewriteRule
 from .itertrack import IterTracker
 from .mirror import MirrorBlock
@@ -83,21 +82,20 @@ class TofinoSwitch(Node):
         #: held packet is released anyway.
         self.reorder_release_timeout_ns = 100_000
 
-        # Telemetry handles (no-op twins when telemetry is disabled).
-        tel = telemetry.current()
-        self._tel = telemetry.active()
-        self._m_rx = tel.counter("switch_roce_rx_packets", switch=name)
-        self._m_tx = tel.counter("switch_roce_tx_packets", switch=name)
-        self._m_lookups = tel.counter("switch_event_table_lookups",
+        # Observation handles (no-op twins when nothing is observed).
+        obs = observe.current()
+        self._tel = obs if obs.metrics else None
+        self._m_rx = obs.counter("switch_roce_rx_packets", switch=name)
+        self._m_tx = obs.counter("switch_roce_tx_packets", switch=name)
+        self._m_lookups = obs.counter("switch_event_table_lookups",
                                       switch=name)
         self._m_matches = {
-            action: tel.counter("switch_events_injected", switch=name,
+            action: obs.counter("switch_events_injected", switch=name,
                                 action=action)
             for action in EventAction.ALL
         }
-        cov = coverage.current()
-        self._cov = cov.domain("switch.pipeline")
-        self._rec = cov.recorder(f"switch:{name}")
+        self._cov = obs.domain("switch.pipeline")
+        self._rec = obs.recorder(f"switch:{name}")
         # Feature flags are fixed after construction, so the per-packet
         # ingress delay is a constant; cache it off the hot path.
         self._latency_ns = self.pipeline_latency_ns

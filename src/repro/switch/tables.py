@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..coverage import runtime as coverage
+from .. import observe
 from .events import ANY_ITERATION, EventEntry
 
 __all__ = ["MatchActionTable"]
@@ -32,7 +32,7 @@ class MatchActionTable:
         self.capacity = capacity
         self._entries: Dict[Tuple[int, int, int, int, int], EventEntry] = {}
         self._wildcards: Dict[Tuple[int, int, int, int], EventEntry] = {}
-        self._cov = coverage.current().domain("switch.table")
+        self._cov = observe.current().domain("switch.table")
 
     def __contains_key(self, entry: EventEntry) -> bool:
         if entry.iteration == ANY_ITERATION:

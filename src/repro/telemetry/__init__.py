@@ -3,7 +3,8 @@
 Lumina's value is visibility into micro-behaviors; this package gives
 the *reproduction* the same property at runtime. Every layer — the
 simulation engine, the switch pipeline, the RNIC models, the dumper
-pool, the orchestrator and the fuzzer — emits into one session:
+pool, the orchestrator and the fuzzer — emits into the metrics facet of
+the one observation session (:mod:`repro.observe`):
 
 * **Metrics** (:mod:`.metrics`): counters, gauges and histograms keyed
   by name + labels, exported in Prometheus text format.
@@ -13,15 +14,15 @@ pool, the orchestrator and the fuzzer — emits into one session:
 * **JSONL event log** (:mod:`.export`): the same records, one JSON
   object per line, for scripts.
 
-Telemetry is **off by default** and free when off: disabled components
-hold shared no-op metric handles and the engine skips its probe branch,
-so deterministic results are byte-identical either way (see
-:mod:`.runtime` for the guarantee and the tests that enforce it).
+Telemetry is **off by default** and free when off: components hold
+shared no-op metric handles and the engine skips its probe branch, so
+deterministic results are byte-identical either way (see
+:mod:`repro.observe` for the guarantee and the tests that enforce it).
 
-Enable with ``--telemetry DIR`` on any CLI command, programmatically via
-:func:`enable`/:func:`disable`, or scoped with ``with
-telemetry.session("out/"):``. Summarize a run directory with
-``python -m repro telemetry-report out/``.
+Enable with ``--observe DIR`` on any campaign command, programmatically
+via :func:`repro.observe.enable`, or scoped with ``with
+observe.session("out/"):``. Summarize a run directory with
+``python -m repro observe-report out/``.
 """
 
 from .metrics import (
@@ -34,15 +35,6 @@ from .metrics import (
     NULL_HISTOGRAM,
 )
 from .spans import Tracer, SpanRecord, InstantRecord
-from .runtime import (
-    NULL_SESSION,
-    TelemetrySession,
-    active,
-    current,
-    disable,
-    enable,
-    session,
-)
 from .export import (
     export_run,
     jsonl_lines,
@@ -57,8 +49,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM",
     "Tracer", "SpanRecord", "InstantRecord",
-    "TelemetrySession", "NULL_SESSION",
-    "enable", "disable", "current", "active", "session",
     "export_run", "jsonl_lines", "parse_prometheus",
     "to_chrome_trace", "to_prometheus",
     "SimProbe", "attach_simulator", "attach_testbed",

@@ -14,7 +14,7 @@ Three output formats, all written into a run directory by
   recording order, for programmatic consumption.
 
 :func:`parse_prometheus` is the matching reader used by
-``repro telemetry-report`` and the round-trip tests.
+``repro observe-report`` and the round-trip tests.
 """
 
 from __future__ import annotations

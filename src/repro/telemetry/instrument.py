@@ -1,4 +1,4 @@
-"""Instrumentation glue between the testbed and a telemetry session.
+"""Instrumentation glue between the testbed and an observation session.
 
 The simulation engine stays free of telemetry imports: it exposes a
 single ``probe`` attribute (duck-typed, default ``None``) that its run
@@ -17,9 +17,10 @@ pipeline stage).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .runtime import TelemetrySession
+if TYPE_CHECKING:
+    from ..observe import Session
 
 __all__ = ["SimProbe", "attach_simulator", "attach_testbed"]
 
@@ -30,7 +31,7 @@ class SimProbe:
     __slots__ = ("session", "name", "_stats", "_queue_gauge",
                  "_events_counter", "_wall_start")
 
-    def __init__(self, session: TelemetrySession, name: str = "sim"):
+    def __init__(self, session: "Session", name: str = "sim"):
         self.session = session
         self.name = name
         #: qualname -> [count, total_wall_ns, max_wall_ns]
@@ -81,7 +82,7 @@ class SimProbe:
                 fn=qualname, sim=self.name).set(max_ns)
 
 
-def attach_simulator(sim, session: TelemetrySession,
+def attach_simulator(sim, session: "Session",
                      name: str = "sim") -> SimProbe:
     """Install a probe on a simulator and sync the tracer clock to it."""
     probe = SimProbe(session, name=name)
@@ -90,7 +91,7 @@ def attach_simulator(sim, session: TelemetrySession,
     return probe
 
 
-def attach_testbed(testbed, session: TelemetrySession) -> Optional[SimProbe]:
+def attach_testbed(testbed, session: "Session") -> Optional[SimProbe]:
     """Wire a built testbed into the session (probe + trace naming)."""
     probe = attach_simulator(testbed.sim, session)
     tracer = session.tracer

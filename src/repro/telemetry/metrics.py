@@ -7,8 +7,8 @@ construction) and update them on the hot path; creating a handle for an
 existing (name, labels) pair returns the same object, so instrumenting
 code never needs to coordinate.
 
-When telemetry is disabled the runtime hands out the ``NULL_*``
-singletons instead: every mutator is an empty method, so the only cost
+When the metrics facet is off, the observation session
+(:mod:`repro.observe`) hands out the ``NULL_*`` singletons instead: every mutator is an empty method, so the only cost
 a disabled run pays is one no-op call per instrumented operation.
 """
 
@@ -103,7 +103,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Owns every metric of a telemetry session."""
+    """Owns every metric of an observation session."""
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelsKey], object] = {}
@@ -236,7 +236,7 @@ NULL_HISTOGRAM = NullHistogram()
 
 
 class NullRegistry:
-    """Registry twin returned by the runtime when telemetry is off."""
+    """Registry twin held by sessions whose metrics facet is off."""
 
     __slots__ = ()
 

@@ -1,10 +1,12 @@
-"""Human-readable summary of a telemetry run directory.
+"""Human-readable summary of an observation directory's metrics facet.
 
-``python -m repro telemetry-report <dir>`` renders what a run recorded:
-per-component span/event counts, the headline reliability metrics
-(retransmissions, timeouts, CNPs, drops), and the top wall-clock hot
-spots from the simulator's per-callback profile — the quick "where did
-the time go" view before opening trace.json in Perfetto.
+``python -m repro observe-report <dir>`` opens with what a run
+recorded: per-component span/event counts, the headline reliability
+metrics (retransmissions, timeouts, CNPs, drops), and the top
+wall-clock hot spots from the simulator's per-callback profile — the
+quick "where did the time go" view before opening trace.json in
+Perfetto. The coverage domain table follows it (see
+:mod:`repro.coverage.report`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, List
 
 from .export import EVENTS_FILE, METRICS_FILE, TRACE_FILE, parse_prometheus
 
-__all__ = ["summarize_run", "render_summary"]
+__all__ = ["summarize_run", "render_summary", "has_artifacts"]
 
 #: Headline metrics surfaced in their own section, with display names.
 _HEADLINE_METRICS = (
@@ -44,6 +46,13 @@ _HEADLINE_METRICS = (
     ("coverage_points_hit", "coverage: points hit"),
     ("coverage_points_known", "coverage: points known"),
 )
+
+
+def has_artifacts(path) -> bool:
+    """True when ``path`` is a directory holding any metrics-facet file."""
+    run = Path(path)
+    return any((run / name).is_file()
+               for name in (METRICS_FILE, EVENTS_FILE, TRACE_FILE))
 
 
 def _component_of(record: Dict) -> str:

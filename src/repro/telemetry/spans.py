@@ -92,7 +92,7 @@ class _OpenSpan:
 
 
 class Tracer:
-    """Collects spans and instant events for one telemetry session."""
+    """Collects spans and instant events for one observation session."""
 
     def __init__(self, clock: Optional[Callable[[], int]] = None):
         self._clock: Callable[[], int] = clock or (lambda: 0)
@@ -187,7 +187,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullTracer:
-    """Tracer twin handed out when telemetry is disabled."""
+    """Tracer twin held by sessions whose metrics facet is off."""
 
     __slots__ = ()
     spans: List[SpanRecord] = []

@@ -1,4 +1,4 @@
-"""The Analyzer protocol, the registry and the legacy shims."""
+"""The Analyzer protocol and the registry."""
 
 import json
 
@@ -9,11 +9,7 @@ from repro.core.analyzers import (
     AnalyzerContext,
     AnalyzerResult,
     Outcome,
-    analyze_cnps,
-    analyze_retransmissions,
     analyzer_names,
-    check_counters,
-    check_gbn_compliance,
     get_analyzer,
     iter_analyzers,
     register,
@@ -114,27 +110,7 @@ class TestUniformVerdicts:
             metrics=verdict.metrics, detail=verdict.detail)
 
 
-class TestLegacyShims:
-    def test_legacy_entry_points_warn_but_still_work(self):
-        result = clean_result()
-        with pytest.warns(DeprecationWarning, match="gbn"):
-            report = check_gbn_compliance(result.trace, mtu=1024)
-        assert report.compliant
-        with pytest.warns(DeprecationWarning, match="retransmission"):
-            assert analyze_retransmissions(result.trace) == []
-        with pytest.warns(DeprecationWarning, match="cnp"):
-            assert analyze_cnps(result.trace).spurious_cnps == 0
-        with pytest.warns(DeprecationWarning, match="counters"):
-            assert check_counters(result).consistent
-
-    def test_registry_path_matches_legacy_report(self):
-        result = clean_result()
-        verdict = get_analyzer("gbn").analyze(
-            result.trace, AnalyzerContext.for_result(result))
-        with pytest.warns(DeprecationWarning):
-            legacy = check_gbn_compliance(result.trace, mtu=1024)
-        assert verdict.data == legacy
-
+class TestProtocolOutcome:
     def test_suite_outcome_is_the_protocol_outcome(self):
         from repro.core import suite
 

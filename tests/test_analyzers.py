@@ -4,22 +4,20 @@ import pytest
 
 from conftest import corrupt, drop, ecn, run_scenario
 from repro.core.analyzers import (
+    AnalyzerContext,
     expected_counters,
+    get_analyzer,
     mct_stats,
     min_cnp_interval_ns,
     per_qp_goodput_gbps,
     split_mct,
 )
-# The deprecation shims are covered in test_analyzer_registry; the
-# behaviour tests here go straight to the implementations.
-from repro.core.analyzers.cnp import _analyze_cnps as analyze_cnps
-from repro.core.analyzers.counter_check import _check_counters as check_counters
-from repro.core.analyzers.gbn_fsm import (
-    _check_gbn_compliance as check_gbn_compliance,
-)
-from repro.core.analyzers.retrans_perf import (
-    _analyze_retransmissions as analyze_retransmissions,
-)
+
+
+def analyzer_data(name, result):
+    """The rich report registered analyzer ``name`` derives from a run."""
+    return get_analyzer(name).analyze(
+        result.trace, AnalyzerContext.for_result(result)).data
 
 
 class TestRetransPerfAnalyzer:
@@ -27,7 +25,7 @@ class TestRetransPerfAnalyzer:
         result = run_scenario(nic="cx5", verb="write", num_msgs=2,
                               message_size=102400, events=(drop(psn=50),),
                               seed=3)
-        events = analyze_retransmissions(result.trace)
+        events = analyzer_data("retransmission", result)
         assert len(events) == 1
         event = events[0]
         assert event.fast_retransmission
@@ -43,14 +41,14 @@ class TestRetransPerfAnalyzer:
         result = run_scenario(nic="cx5", verb="read", num_msgs=2,
                               message_size=102400, events=(drop(psn=50),),
                               seed=3)
-        events = analyze_retransmissions(result.trace)
+        events = analyzer_data("retransmission", result)
         assert len(events) == 1
         assert events[0].fast_retransmission
 
     def test_timeout_recovery_has_no_nack(self):
         result = run_scenario(verb="write", num_msgs=1, message_size=4096,
                               events=(drop(psn=4),), timeout_cfg=10, seed=4)
-        events = analyze_retransmissions(result.trace)
+        events = analyzer_data("retransmission", result)
         assert len(events) == 1
         assert not events[0].fast_retransmission
         assert events[0].nack_time_ns is None
@@ -62,7 +60,7 @@ class TestRetransPerfAnalyzer:
             result = run_scenario(nic=nic, verb="write", num_msgs=2,
                                   message_size=102400,
                                   events=(drop(psn=50),), seed=3)
-            return analyze_retransmissions(result.trace)[0].nack_reaction_ns
+            return analyzer_data("retransmission", result)[0].nack_reaction_ns
 
         assert react("cx4") > 20 * react("cx5")
 
@@ -72,14 +70,14 @@ class TestRetransPerfAnalyzer:
             result = run_scenario(nic=nic, verb="read", num_msgs=2,
                                   message_size=102400,
                                   events=(drop(psn=50),), seed=3)
-            return analyze_retransmissions(result.trace)[0].nack_generation_ns
+            return analyzer_data("retransmission", result)[0].nack_generation_ns
 
         assert gen("e810") > 50_000_000       # ~83 ms
         assert gen("cx4") > 20 * gen("cx5")   # ~150 µs vs ~2-5 µs
 
     def test_no_drops_no_events(self):
         result = run_scenario(verb="write", num_msgs=2, message_size=4096)
-        assert analyze_retransmissions(result.trace) == []
+        assert analyzer_data("retransmission", result) == []
 
 
 class TestGbnFsmAnalyzer:
@@ -90,39 +88,39 @@ class TestGbnFsmAnalyzer:
         result = run_scenario(nic=nic, verb=verb, num_msgs=2,
                               message_size=102400, events=(drop(psn=50),),
                               seed=3)
-        report = check_gbn_compliance(result.trace)
+        report = analyzer_data("gbn", result)
         assert report.compliant, [str(v) for v in report.violations]
         assert report.connections_checked >= 1
         assert report.packets_checked > 0
 
     def test_clean_trace_compliant(self):
         result = run_scenario(verb="write", num_msgs=3, message_size=4096)
-        assert check_gbn_compliance(result.trace).compliant
+        assert analyzer_data("gbn", result).compliant
 
     def test_double_drop_timeout_path_compliant(self):
         result = run_scenario(verb="write", num_msgs=2, message_size=4096,
                               events=(drop(psn=2), drop(psn=2, iteration=2)),
                               timeout_cfg=10, seed=6)
-        assert check_gbn_compliance(result.trace).compliant
+        assert analyzer_data("gbn", result).compliant
 
     def test_corruption_treated_as_loss(self):
         result = run_scenario(verb="write", num_msgs=2, message_size=4096,
                               events=(corrupt(psn=2),), seed=10)
-        assert check_gbn_compliance(result.trace).compliant
+        assert analyzer_data("gbn", result).compliant
 
 
 class TestCnpAnalyzer:
     def test_single_mark_single_cnp(self):
         result = run_scenario(verb="write", num_msgs=2, message_size=4096,
                               events=(ecn(psn=3),), seed=9)
-        report = analyze_cnps(result.trace)
+        report = analyzer_data("cnp", result)
         assert report.total_cnps == 1
         assert report.total_ecn_marked == 1
         assert report.spurious_cnps == 0
 
     def test_no_marks_no_cnps(self):
         result = run_scenario(verb="write", num_msgs=2, message_size=4096)
-        report = analyze_cnps(result.trace)
+        report = analyzer_data("cnp", result)
         assert report.total_cnps == 0
         assert min_cnp_interval_ns(result.trace) is None
 
@@ -152,7 +150,7 @@ class TestCounterAnalyzer:
     def test_clean_run_consistent(self):
         result = run_scenario(nic="cx5", verb="write", num_msgs=3,
                               message_size=4096, events=(drop(psn=2),), seed=5)
-        report = check_counters(result)
+        report = analyzer_data("counters", result)
         assert report.consistent
         assert report.checked > 0
 
@@ -160,7 +158,7 @@ class TestCounterAnalyzer:
         # §6.2.4: cnpSent stays 0 although CNPs are on the wire.
         result = run_scenario(nic="e810", verb="write", num_msgs=2,
                               message_size=4096, events=(ecn(psn=3),), seed=9)
-        report = check_counters(result)
+        report = analyzer_data("counters", result)
         bugs = [m for m in report.mismatches if m.counter == "cnp_sent"]
         assert len(bugs) == 1
         assert bugs[0].vendor_counter == "cnpSent"
@@ -173,7 +171,7 @@ class TestCounterAnalyzer:
         result = run_scenario(nic="cx4", verb="read", num_msgs=2,
                               message_size=10240, events=(drop(psn=2),),
                               seed=5)
-        report = check_counters(result)
+        report = analyzer_data("counters", result)
         bugs = [m for m in report.mismatches
                 if m.counter == "implied_nak_seq_err"]
         assert len(bugs) == 1
@@ -186,7 +184,7 @@ class TestCounterAnalyzer:
         result = run_scenario(nic="cx5", verb="read", num_msgs=2,
                               message_size=10240, events=(drop(psn=2),),
                               seed=5)
-        report = check_counters(result)
+        report = analyzer_data("counters", result)
         assert not [m for m in report.mismatches
                     if m.counter == "implied_nak_seq_err"]
 

@@ -14,13 +14,12 @@ The coverage subsystem's contracts (see ``repro/coverage/map``):
 
 import pytest
 
-from repro import quick_config
+from repro import observe, quick_config
 from repro.core.fuzz import LuminaFuzzer
 from repro.core.orchestrator import run_test, run_tests
 from repro.core.suite import (DEFAULT_SUITE_SEED, Outcome,
                               run_conformance_suite, run_single_check)
 from repro.core.trace import format_trace
-from repro.coverage import runtime as coverage
 from repro.coverage.domains import DOMAINS, known_point_count
 from repro.coverage.map import CoverageMap, canonical_coverage_json
 from repro.faults import get_scenario
@@ -29,9 +28,9 @@ from repro.store.serialize import decode_result, encode_result
 
 @pytest.fixture(autouse=True)
 def _clean_session():
-    coverage.disable()
+    observe.disable()
     yield
-    coverage.disable()
+    observe.disable()
 
 
 def _config(seed: int = 21):
@@ -91,7 +90,7 @@ class TestResultAttachment:
         assert result.flight_record is None
 
     def test_enabled_clean_run_carries_map_but_no_flight_record(self):
-        coverage.enable()
+        observe.enable(metrics=False)
         result = run_test(_config())
         assert result.coverage  # non-empty sorted snapshot rows
         assert result.coverage == sorted(result.coverage)
@@ -104,14 +103,14 @@ class TestResultAttachment:
 
     def test_enabled_run_does_not_perturb_simulation(self):
         baseline = run_test(_config())
-        coverage.enable()
+        observe.enable(metrics=False)
         covered = run_test(_config())
         assert format_trace(covered.trace) == format_trace(baseline.trace)
         assert covered.duration_ns == baseline.duration_ns
         assert covered.integrity.ok == baseline.integrity.ok
 
     def test_store_round_trip_preserves_coverage(self):
-        coverage.enable()
+        observe.enable(metrics=False)
         result = run_test(_config())
         result.flight_record = [[0, 100, "rnic", "gap-nak", "psn=3"]]
         restored = decode_result(encode_result(result))
@@ -131,13 +130,13 @@ class TestWorkerDeterminism:
     SEEDS = (31, 32, 33, 34)
 
     def _session_doc(self, workers: int) -> str:
-        session = coverage.enable()
+        session = observe.enable(metrics=False)
         try:
             run_tests([_config(seed) for seed in self.SEEDS],
                       workers=workers)
             return canonical_coverage_json(session.total_snapshot())
         finally:
-            coverage.disable()
+            observe.disable()
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_batch_map_identical_for_any_worker_count(self, workers):
@@ -147,7 +146,7 @@ class TestWorkerDeterminism:
         checks = ["gbn-logic", "corruption-detection"]
 
         def suite_doc(workers):
-            session = coverage.enable()
+            session = observe.enable(metrics=False)
             try:
                 card = run_conformance_suite("cx5", checks=checks,
                                              workers=workers)
@@ -155,21 +154,21 @@ class TestWorkerDeterminism:
                 return canonical_coverage_json(session.total_snapshot()), \
                     per_check
             finally:
-                coverage.disable()
+                observe.disable()
 
         assert suite_doc(2) == suite_doc(1)
 
 
 class TestFlightRecorder:
     def test_passing_check_has_no_flight_record(self):
-        coverage.enable()
+        observe.enable(metrics=False)
         check = run_single_check("gbn-logic", "cx5", DEFAULT_SUITE_SEED)
         assert check.outcome is Outcome.PASS
         assert check.coverage
         assert check.flight_record is None
 
     def test_inconclusive_check_carries_flight_record(self):
-        coverage.enable()
+        observe.enable(metrics=False)
         check = run_single_check("gbn-logic", "cx5", DEFAULT_SUITE_SEED,
                                  get_scenario("mirror-loss"))
         assert check.outcome is Outcome.INCONCLUSIVE
@@ -184,7 +183,7 @@ class TestCampaignCoverage:
     BATCH = 2
 
     def _campaign(self, campaign_dir=None, workers=1):
-        session = coverage.enable()
+        session = observe.enable(metrics=False)
         try:
             fuzzer = LuminaFuzzer(_config(seed=5), seed=5)
             report = fuzzer.run(iterations=self.ITERATIONS,
@@ -192,7 +191,7 @@ class TestCampaignCoverage:
                                 campaign_dir=campaign_dir)
             return report, canonical_coverage_json(session.total_snapshot())
         finally:
-            coverage.disable()
+            observe.disable()
 
     def test_growth_rows_accumulate_monotonically(self):
         report, _ = self._campaign()

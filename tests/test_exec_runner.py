@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import observe
 from repro.exec import ParallelRunner
 from repro.exec import runner as runner_mod
 from repro.exec.tasks import (
@@ -10,14 +11,13 @@ from repro.exec.tasks import (
     sleep_task,
     telemetry_probe_task,
 )
-from repro.telemetry import runtime as telemetry
 
 
 @pytest.fixture(autouse=True)
 def _no_leaked_session():
-    telemetry.disable()
+    observe.disable()
     yield
-    telemetry.disable()
+    observe.disable()
 
 
 def _double(payload):
@@ -120,7 +120,7 @@ class TestFailureRecovery:
 
 class TestTelemetryMerge:
     def test_worker_metrics_merge_into_parent_session(self):
-        session = telemetry.enable()
+        session = observe.enable()
         try:
             with ParallelRunner(telemetry_probe_task, workers=2) as runner:
                 outcomes = runner.map([{"n": 2}, {"n": 3}, {"n": 5}])
@@ -128,20 +128,30 @@ class TestTelemetryMerge:
             counter = session.registry.find("exec_probe_events")
             assert counter is not None and counter.value == 10
         finally:
-            telemetry.disable()
+            observe.disable()
 
     def test_serial_path_updates_parent_registry_directly(self):
-        session = telemetry.enable()
+        session = observe.enable()
         try:
             with ParallelRunner(telemetry_probe_task, workers=1) as runner:
                 runner.map([{"n": 4}])
             counter = session.registry.find("exec_probe_events")
             assert counter is not None and counter.value == 4
         finally:
-            telemetry.disable()
+            observe.disable()
+
+    def test_metrics_off_session_ships_no_snapshot(self):
+        session = observe.enable(metrics=False)
+        try:
+            with ParallelRunner(telemetry_probe_task, workers=2) as runner:
+                outcomes = runner.map([{"n": 2}, {"n": 3}])
+            assert all(o.ok for o in outcomes)
+            assert len(session.registry) == 0
+        finally:
+            observe.disable()
 
     def test_no_session_no_collection(self):
         with ParallelRunner(telemetry_probe_task, workers=2) as runner:
             outcomes = runner.map([{"n": 1}])
         assert outcomes[0].ok
-        assert telemetry.active() is None
+        assert observe.active() is None

@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro import quick_config
+from repro import observe, quick_config
 from repro.core.config import DataPacketEvent, TrafficConfig
 from repro.core.fuzz import (
     LuminaFuzzer,
@@ -26,7 +26,6 @@ from repro.core.fuzz import (
     novelty_score,
 )
 from repro.core.orchestrator import run_test
-from repro.coverage import runtime as coverage
 from repro.coverage.map import CoverageMap
 from repro.sim.rng import SimRandom
 from repro.store.journal import CampaignJournal
@@ -35,9 +34,9 @@ from repro.store.serialize import encode_fuzz_report
 
 @pytest.fixture(autouse=True)
 def _clean_session():
-    coverage.disable()
+    observe.disable()
     yield
-    coverage.disable()
+    observe.disable()
 
 
 def _base(nic="e810", seed=1):
@@ -208,13 +207,13 @@ class TestCheckpointCoverage:
     def test_state_dict_emits_map_only_under_session_or_hits(self):
         fuzzer = LuminaFuzzer(_base(), seed=3)
         assert "coverage-map" not in fuzzer.state_dict()
-        coverage.enable()
+        observe.enable(metrics=False)
         # Zero points hit, but the session is live: the checkpoint must
         # say so, or resume can't tell coverage-on from coverage-off.
         assert fuzzer.state_dict()["coverage-map"] == []
         fuzzer._coverage.hit("rdma.gbn", "x")
         assert len(fuzzer.state_dict()["coverage-map"]) == 1
-        coverage.disable()
+        observe.disable()
         # A folded map survives even without a live session.
         assert len(fuzzer.state_dict()["coverage-map"]) == 1
 
@@ -231,14 +230,14 @@ class TestCheckpointCoverage:
             return baseline
 
         def campaign(directory):
-            coverage.enable()
+            observe.enable(metrics=False)
             try:
                 fuzzer = LuminaFuzzer(_base(nic="cx5"), seed=5,
                                       run_fn=run_fn)
                 return fuzzer.run(iterations=4, batch_size=2,
                                   campaign_dir=directory)
             finally:
-                coverage.disable()
+                observe.disable()
 
         report_a = campaign(str(tmp_path / "clean"))
         monkeypatch.setenv("REPRO_CAMPAIGN_CRASH_AFTER_GEN", "1")
@@ -298,14 +297,14 @@ class TestGuidedSelection:
 
         def run_fn(config):
             calls["n"] += 1
-            coverage.current().live.hit("test.domain", f"p{calls['n']}")
+            observe.current().live.hit("test.domain", f"p{calls['n']}")
             return baseline
 
         return run_fn
 
     def test_first_hit_admission_overrides_score(self):
         run_fn = self._fresh_point_run_fn()
-        coverage.enable()
+        observe.enable(metrics=False)
         fuzzer = self._high_median_fuzzer(run_fn)
         # Each candidate scores ~0 + a small novelty bonus — far below
         # the median, keep-probability is 0 — yet reaches a
@@ -317,7 +316,7 @@ class TestGuidedSelection:
 
     def test_blind_mode_ignores_first_hits(self):
         run_fn = self._fresh_point_run_fn()
-        coverage.enable()
+        observe.enable(metrics=False)
         fuzzer = self._high_median_fuzzer(run_fn)
         fuzzer.run(iterations=3, batch_size=1, coverage_fitness=False)
         assert len(fuzzer._pool) == 2
@@ -347,7 +346,7 @@ class TestGuidedSelection:
         # same minimized pool and report — the store-replay twin of the
         # workers-parity guarantee.
         def campaign(directory):
-            coverage.enable()
+            observe.enable(metrics=False)
             try:
                 fuzzer = LuminaFuzzer(_base(), seed=7,
                                       anomaly_threshold=2.5,
@@ -356,7 +355,7 @@ class TestGuidedSelection:
                                     campaign_dir=directory)
                 return fuzzer, report
             finally:
-                coverage.disable()
+                observe.disable()
 
         shared = str(tmp_path / "campaign")
         fuzzer_a, report_a = campaign(shared)
@@ -379,10 +378,10 @@ class TestGuidedSelection:
                                          message_size=2048))
 
         def run_fn(config):
-            coverage.current().live.hit("test.domain", "same-bug")
+            observe.current().live.hit("test.domain", "same-bug")
             return baseline
 
-        coverage.enable()
+        observe.enable(metrics=False)
         fuzzer = LuminaFuzzer(_base(nic="cx5"), seed=5, run_fn=run_fn,
                               anomaly_threshold=-1.0,
                               initial_pool=[_base(nic="cx5").traffic])
@@ -398,7 +397,7 @@ class TestGuidedSelection:
 
     def test_dedup_key_stable_across_store_replay(self, tmp_path):
         def campaign(directory):
-            coverage.enable()
+            observe.enable(metrics=False)
             try:
                 fuzzer = LuminaFuzzer(_base(), seed=1,
                                       anomaly_threshold=2.5)
@@ -406,7 +405,7 @@ class TestGuidedSelection:
                                     campaign_dir=directory)
                 return sorted(fuzzer._findings_by_key), report
             finally:
-                coverage.disable()
+                observe.disable()
 
         shared = str(tmp_path / "campaign")
         keys_a, report_a = campaign(shared)
@@ -420,13 +419,13 @@ class TestGuidedSelection:
     def test_novelty_never_persisted_to_store_entries(self, tmp_path):
         from repro.store import CampaignStore
 
-        coverage.enable()
+        observe.enable(metrics=False)
         try:
             fuzzer = LuminaFuzzer(_base(), seed=1, anomaly_threshold=2.5)
             report = fuzzer.run(iterations=8, batch_size=4,
                                 campaign_dir=str(tmp_path / "campaign"))
         finally:
-            coverage.disable()
+            observe.disable()
         # Selection assigned novelty to at least one journaled finding…
         assert any(f.score.novelty for f in report.findings)
         # …but every cached candidate score stays campaign-neutral.
@@ -438,7 +437,7 @@ class TestGuidedSelection:
 
     def test_guided_differs_from_blind_but_both_deterministic(self):
         def run(guided):
-            coverage.enable()
+            observe.enable(metrics=False)
             try:
                 fuzzer = LuminaFuzzer(_base(), seed=7,
                                       anomaly_threshold=2.5)
@@ -446,7 +445,7 @@ class TestGuidedSelection:
                                     coverage_fitness=guided)
                 return encode_fuzz_report(report)
             finally:
-                coverage.disable()
+                observe.disable()
 
         guided = run(True)
         blind = run(False)
@@ -455,3 +454,36 @@ class TestGuidedSelection:
         # The modes really select differently: guided pool scores carry
         # the novelty bonus.
         assert guided != blind
+
+
+class TestCliSession:
+    def test_coverage_fitness_without_observe_runs_guided_metrics_off(
+            self, tmp_path, monkeypatch, capsys):
+        # `fuzz --coverage-fitness` with no --observe directory must run
+        # guided on an in-memory, coverage-only session: the fitness
+        # signal is on, the metrics facet (and its SimProbe) is not.
+        from repro.__main__ import main
+        from repro.core import orchestrator
+        from repro.core.fuzz import fuzzer as fuzzer_mod
+
+        attached = []
+        monkeypatch.setattr(orchestrator, "attach_testbed",
+                            lambda testbed, session: attached.append(testbed))
+        facets = []
+        novelty = fuzzer_mod.novelty_score
+
+        def spy(*args, **kwargs):
+            live = observe.active()
+            facets.append(live is not None and live.metrics)
+            return novelty(*args, **kwargs)
+
+        monkeypatch.setattr(fuzzer_mod, "novelty_score", spy)
+        monkeypatch.chdir(tmp_path)
+        status = main(["fuzz", "--target", "counter-bugs", "--nic", "e810",
+                       "-n", "2", "--batch", "2", "--coverage-fitness"])
+        assert status in (0, 2)
+        assert facets and not any(facets)
+        assert attached == []
+        assert "coverage growth:" in capsys.readouterr().out
+        assert observe.active() is None
+        assert os.listdir(tmp_path) == []  # in-memory: nothing exported

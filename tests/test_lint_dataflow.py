@@ -336,6 +336,26 @@ def test_race001_merge_outside_declared_points_flagged():
     assert "merge" in findings[0].message
 
 
+def test_race001_observe_session_merges_flagged_outside_its_module():
+    findings = analyze({
+        "repro/core/extra.py": """
+            from .. import observe
+
+            def sneaky_fold(snapshots):
+                for snap in snapshots:
+                    observe.current().merge_snapshot(snap)
+        """,
+        "repro/observe.py": """
+            class Session:
+                def total_snapshot(self, total):
+                    for scope in self.stack:
+                        total.merge_map(scope)
+        """,
+    }, select={"RACE001"})
+    assert [(f.path, f.code) for f in findings] == \
+        [("repro/core/extra.py", "RACE001")]
+
+
 def test_race001_merge_at_declared_point_not_flagged():
     findings = analyze({
         "repro/core/orchestrator.py": """

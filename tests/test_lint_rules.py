@@ -395,14 +395,14 @@ def test_exec001_suppressed():
 
 
 # ----------------------------------------------------------------------
-# TEL001 — telemetry handle construction in loops
+# TEL001 — observation handle construction in loops
 # ----------------------------------------------------------------------
 def test_tel001_positive_local_session_in_loop():
     findings = lint("""
-        from ..telemetry import runtime as telemetry
+        from .. import observe
 
         def f(servers):
-            tel = telemetry.current()
+            tel = observe.current()
             for s in servers:
                 tel.gauge("records", server=s.name).set(1)
     """)
@@ -422,10 +422,10 @@ def test_tel001_positive_session_attribute_in_while():
 
 def test_tel001_negative_handle_bound_outside_loop():
     assert lint("""
-        from ..telemetry import runtime as telemetry
+        from .. import observe
 
         def f(servers):
-            gauge = telemetry.current().gauge("records")
+            gauge = observe.current().gauge("records")
             for s in servers:
                 gauge.set(s.count)
     """) == []
@@ -442,10 +442,10 @@ def test_tel001_negative_unrelated_receiver():
 
 def test_tel001_suppressed():
     assert lint("""
-        from ..telemetry import runtime as telemetry
+        from .. import observe
 
         def f(servers):
-            tel = telemetry.current()
+            tel = observe.current()
             for s in servers:
                 tel.gauge(  # repro-lint: ignore[TEL001]
                     "records", server=s.name).set(1)
@@ -456,10 +456,10 @@ def test_tel001_positive_coverage_domain_in_loop():
     # Coverage handles obey the same contract as telemetry handles:
     # bind once at construction, never per packet.
     findings = lint("""
-        from ..coverage import runtime as coverage
+        from .. import observe
 
         def f(packets):
-            cov = coverage.current()
+            cov = observe.current()
             for pkt in packets:
                 cov.domain("rdma.gbn").hit("nak-sent", pkt.ns)
     """)
@@ -479,10 +479,10 @@ def test_tel001_positive_coverage_recorder_in_while():
 
 def test_tel001_negative_coverage_handle_bound_outside_loop():
     assert lint("""
-        from ..coverage import runtime as coverage
+        from .. import observe
 
         def f(packets):
-            gbn = coverage.current().domain("rdma.gbn")
+            gbn = observe.current().domain("rdma.gbn")
             for pkt in packets:
                 gbn.hit("nak-sent", pkt.ns)
     """) == []
@@ -497,6 +497,18 @@ def test_det001_applies_to_coverage_sources():
         def stamp():
             return time.time()
     """, path="repro/coverage/sample.py")
+    assert codes(findings) == ["DET001"]
+
+
+def test_det001_applies_to_the_observe_session():
+    # The session module holds the coverage scopes; only telemetry/
+    # may read wall clocks on its behalf.
+    findings = lint("""
+        import time
+
+        def stamp():
+            return time.perf_counter_ns()
+    """, path="repro/observe.py")
     assert codes(findings) == ["DET001"]
 
 

@@ -108,7 +108,7 @@ class TestJobSpec:
                 != JobSpec.for_suite("cx4",
                                      checks=["gbn-logic"]).fingerprint)
         assert (suite_spec().fingerprint
-                != suite_spec(coverage=True).fingerprint)
+                != suite_spec(observe=True).fingerprint)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown job kind"):

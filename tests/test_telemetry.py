@@ -1,11 +1,13 @@
-"""Unit tests for the telemetry subsystem (metrics, spans, exporters)."""
+"""Telemetry (metrics, spans, exporters) and the observation session."""
 
 import json
 
 import pytest
 
+from repro import observe
+from repro.coverage.map import NULL_DOMAIN
+from repro.coverage.recorder import NULL_RECORDER
 from repro.sim.engine import Simulator
-from repro.telemetry import runtime as telemetry
 from repro.telemetry.export import (
     jsonl_lines,
     parse_prometheus,
@@ -24,9 +26,9 @@ from repro.telemetry.spans import Tracer
 
 @pytest.fixture(autouse=True)
 def _clean_session():
-    telemetry.disable()
+    observe.disable()
     yield
-    telemetry.disable()
+    observe.disable()
 
 
 class TestMetrics:
@@ -82,32 +84,49 @@ class TestMetrics:
 
 class TestRuntime:
     def test_disabled_by_default(self):
-        assert telemetry.active() is None
-        assert telemetry.current() is telemetry.NULL_SESSION
+        assert observe.active() is None
+        assert observe.current() is observe.NULL_SESSION
 
     def test_enable_disable_cycle(self):
-        session = telemetry.enable()
-        assert telemetry.active() is session
-        assert telemetry.current() is session
-        telemetry.disable()
-        assert telemetry.active() is None
+        session = observe.enable()
+        assert observe.active() is session
+        assert observe.current() is session
+        observe.disable()
+        assert observe.active() is None
 
     def test_disabled_session_hands_out_null_twins(self):
-        tel = telemetry.current()
-        assert tel.counter("x") is NULL_COUNTER
-        assert tel.gauge("x") is NULL_GAUGE
-        with tel.span("phase"):
+        obs = observe.current()
+        assert obs.counter("x") is NULL_COUNTER
+        assert obs.gauge("x") is NULL_GAUGE
+        assert obs.histogram("x") is NULL_HISTOGRAM
+        with obs.span("phase"):
             pass
-        with tel.wall_span("phase"):
+        with obs.wall_span("phase"):
             pass
-        assert tel.instant("e") is None
+        assert obs.instant("e") is None
+        assert obs.domain("rdma.gbn") is NULL_DOMAIN
+        assert obs.recorder("qp") is NULL_RECORDER
+        obs.merge_snapshot([["rdma.gbn", "x", 1, 0]])
+        assert obs.total_snapshot() == []
+
+    def test_metrics_off_session_records_coverage_only(self):
+        obs = observe.enable(metrics=False)
+        assert obs.counter("x") is NULL_COUNTER
+        assert obs.tracer.spans == []
+        obs.domain("rdma.gbn").hit("nak-sent", 7)
+        obs.recorder("qp").note(7, "nak")
+        assert obs.total_snapshot() == [["rdma.gbn", "nak-sent", 1, 7]]
+        assert len(obs.flight_snapshot()) == 1
 
     def test_context_manager_scopes_session(self, tmp_path):
-        with telemetry.session(str(tmp_path), export_on_exit=True) as tel:
-            tel.counter("inside").inc()
-            assert telemetry.active() is tel
-        assert telemetry.active() is None
-        assert (tmp_path / "metrics.prom").exists()
+        with observe.session(str(tmp_path)) as obs:
+            obs.counter("inside").inc()
+            obs.domain("rdma.gbn").hit("nak-sent")
+            assert observe.active() is obs
+        assert observe.active() is None
+        for artefact in ("metrics.prom", "trace.json", "events.jsonl",
+                         "coverage.json"):
+            assert (tmp_path / artefact).exists()
 
 
 class TestSpans:
@@ -207,7 +226,7 @@ class TestJsonl:
 
 class TestSimProbe:
     def test_probe_records_callbacks_and_hotspots(self):
-        session = telemetry.enable()
+        session = observe.enable()
         sim = Simulator()
         probe = attach_simulator(sim, session)
 
@@ -226,7 +245,7 @@ class TestSimProbe:
         assert total_ns >= 0
 
     def test_probe_syncs_tracer_clock(self):
-        session = telemetry.enable()
+        session = observe.enable()
         sim = Simulator()
         attach_simulator(sim, session)
         sim.schedule(300, lambda: session.instant("mark"))
@@ -242,22 +261,43 @@ class TestSimProbe:
 
 class TestReportCommand:
     def test_report_renders_run_directory(self, tmp_path, capsys):
-        from repro.__main__ import main
+        from repro.__main__ import _EXAMPLE_CONFIG, main
 
         config = tmp_path / "config.json"
-        out = tmp_path / "tel"
-        from repro.__main__ import _EXAMPLE_CONFIG
-
+        out = tmp_path / "obs"
         config.write_text(json.dumps(_EXAMPLE_CONFIG))
-        status = main(["run", str(config), "--telemetry", str(out),
+        status = main(["run", str(config), "--observe", str(out),
                        "--output", str(tmp_path / "report.txt")])
         assert status == 0
-        assert telemetry.active() is None  # CLI tears the session down
+        assert observe.active() is None  # CLI tears the session down
         for artefact in ("trace.json", "metrics.prom", "events.jsonl"):
             assert (out / artefact).exists()
 
-        assert main(["telemetry-report", str(out)]) == 0
+        assert main(["observe-report", str(out)]) == 0
         text = capsys.readouterr().out
         assert "Telemetry report" in text
         assert "retransmitted packets" in text
         assert "Top wall-clock hot spots" in text
+
+    def test_observed_suite_writes_every_artifact_kind(self, tmp_path,
+                                                       capsys):
+        # One flag, one directory: metrics, both trace formats, the
+        # coverage map and the flight dump of the INCONCLUSIVE check.
+        from repro.__main__ import main
+
+        out = tmp_path / "obs"
+        status = main(["suite", "cx5", "--checks", "gbn-logic",
+                       "--measurement-faults", "mirror-loss",
+                       "--observe", str(out)])
+        assert status == 1  # mirror-loss leaves gbn-logic INCONCLUSIVE
+        names = sorted(path.name for path in out.iterdir())
+        assert names == ["coverage.json", "events.jsonl",
+                         "flight-gbn-logic.txt", "metrics.prom",
+                         "trace.json"]
+        capsys.readouterr()
+
+        assert main(["observe-report", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "coverage: points hit" in text       # metrics headline
+        assert "rdma.gbn" in text and "total" in text  # domain table
+        assert "Never reached" in text

@@ -161,3 +161,19 @@ class TestLogAggregates:
         assert stats.avg_mct_ns is None
         assert stats.max_mct_ns is None
         assert stats.goodput_bps() is None
+
+
+class TestWorkRequestIds:
+    def test_identical_runs_encode_identically_in_one_process(self):
+        # Work-request ids are numbered per traffic session, so repeating
+        # a run inside one process reproduces its result document.
+        from repro.core.orchestrator import run_test
+        from repro.store.serialize import encode_result
+
+        config = quick_config(nic="cx5", verb="write", num_msgs=3,
+                              message_size=4096, num_connections=2, seed=7)
+        first = encode_result(run_test(config))
+        assert first == encode_result(run_test(config))
+        ids = sorted(m.wr_id for m in run_test(config).traffic_log
+                     .all_messages)
+        assert ids == list(range(1, 7))
