@@ -724,16 +724,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
-    out_dir = getattr(args, "observe", None)
-    # `fuzz --coverage-fitness` without --observe still needs a live
-    # session for its feedback: run a coverage-only one in memory.
-    # Remote execution observes in the daemon's job directory instead.
-    if getattr(args, "server", None) or (
-            out_dir is None and not getattr(args, "coverage_fitness", None)):
+    if getattr(args, "server", None):
+        # Remote execution observes in the daemon's job process instead.
         return args.func(args)
     from . import observe
 
-    with observe.session(out_dir, metrics=out_dir is not None):
+    out_dir = getattr(args, "observe", None)
+    with observe.session_for(out_dir, getattr(args, "coverage_fitness",
+                                              None)):
         status = args.func(args)
     if out_dir is not None:
         print(f"observations written to {out_dir} "

@@ -261,20 +261,17 @@ class LuminaFuzzer:
         score/coverage pairing) are the only mutable state the loop
         reads.
 
-        Schema: ``"pool-entries"`` (one ``{score, points}`` dict per
-        pool config, same order as ``"pool"``) is the v2 pairing;
-        ``"pool-scores"`` is kept so v1 readers still find the sorted
-        score list, and v1 checkpoints without ``"pool-entries"`` still
-        load (see :meth:`load_state`). ``"coverage-map"`` is emitted
-        whenever an observation session is live — even while empty —
-        so a coverage-enabled campaign that has hit zero points is
-        distinguishable from a coverage-off one on resume.
+        Schema: ``"pool-entries"`` holds one ``{score, points}`` dict
+        per pool config, in the same order as ``"pool"``.
+        ``"coverage-map"`` is emitted whenever an observation session
+        is live — even while empty — so a coverage-enabled campaign
+        that has hit zero points is distinguishable from a coverage-off
+        one on resume.
         """
         state = {
             "rng": self.rng.getstate(),
             "next-seed": self._next_seed,
             "pool": [e.config.to_dict() for e in self._pool],
-            "pool-scores": list(self._pool_scores),
             "pool-entries": [
                 {"score": e.score, "points": [list(p) for p in e.points]}
                 for e in self._pool
@@ -285,29 +282,15 @@ class LuminaFuzzer:
         return state
 
     def load_state(self, state: Dict) -> None:
-        """Restore a :meth:`state_dict` checkpoint (journal resume).
-
-        v1 checkpoints (no ``"pool-entries"``) recorded configs and a
-        *sorted* score list with no linkage, so the true pairing is
-        unrecoverable; scores are assigned positionally. That preserves
-        the config order and the score multiset — everything the blind
-        selection loop reads — so resumed v1 campaigns still replay
-        byte-identically.
-        """
+        """Restore a :meth:`state_dict` checkpoint (journal resume)."""
         self.rng.setstate(state["rng"])
         self._next_seed = state["next-seed"]
         configs = [TrafficConfig.from_dict(t) for t in state["pool"]]
-        entries = state.get("pool-entries")
-        if entries is None:
-            scores = sorted(state["pool-scores"])
-            self._pool = [PoolEntry(config=c, score=s)
-                          for c, s in zip(configs, scores)]
-        else:
-            self._pool = [
-                PoolEntry(config=c, score=e["score"],
-                          points=tuple((d, p) for d, p in e["points"]))
-                for c, e in zip(configs, entries)
-            ]
+        self._pool = [
+            PoolEntry(config=c, score=e["score"],
+                      points=tuple((d, p) for d, p in e["points"]))
+            for c, e in zip(configs, state["pool-entries"])
+        ]
         self._pool_scores = sorted(e.score for e in self._pool)
         self._coverage = CoverageMap.from_snapshot(
             state.get("coverage-map", []))
@@ -366,108 +349,79 @@ class LuminaFuzzer:
         return batch
 
     def _score_batch(self, batch: Sequence[Tuple[TrafficConfig, TestConfig]],
-                     runner, first_iteration: int,
+                     runner: "ParallelRunner", first_iteration: int,
                      store: Optional["CampaignStore"] = None,
                      ) -> List[Optional[Score]]:
         """Step 3, batched: run + score every candidate.
 
-        With a ``store``, each candidate's fingerprint is probed first
-        and cached scores are replayed without touching the testbed;
-        only the misses are executed (and written back). With a runner,
-        misses execute in pool workers which ship back only the compact
-        :class:`Score` (never the trace). A candidate whose execution
-        fails outright maps to ``None`` and is later counted as an
-        invalid run.
+        One :meth:`~repro.exec.runner.ParallelRunner.map_cached` call:
+        with a ``store``, cached scores are replayed without touching
+        the testbed and only the misses run (and are written back).
+        Pool workers ship back only the compact :class:`Score`, never
+        the trace; in-process candidates go through
+        :meth:`_score_candidate`. A candidate whose execution fails
+        outright maps to ``None`` and is later counted as an invalid
+        run.
+        """
+        from ...store import serialize
+
+        keys: List[str] = []
+        if store is not None:
+            from ...store.fingerprint import config_fingerprint
+
+            extra: Dict = {"weights": self.weights}
+            if observe.active() is not None:
+                extra["coverage"] = True
+            keys = [config_fingerprint(config, kind="score", extra=extra)
+                    for _, config in batch]
+        payloads = [{"config": config, "weights": self.weights,
+                     "iteration": first_iteration + offset}
+                    for offset, (_, config) in enumerate(batch)]
+        with observe.current().wall_span(
+                "fuzz.batch", pid="fuzzer", category="fuzz",
+                first_iteration=first_iteration, size=len(batch)) as span:
+            outcomes = runner.map_cached(payloads, keys, store, "score",
+                                         serialize.encode_score,
+                                         serialize.decode_score)
+            scores = [outcome.value if outcome.ok else None
+                      for outcome in outcomes]
+            span.set(failed=scores.count(None))
+        return scores
+
+    def _score_candidate(self, payload: Dict) -> Score:
+        """Run and score one candidate in this process.
+
+        The campaign runner's in-process callable. Each candidate runs
+        a fresh simulation starting at t=0, so its ``fuzz.generation``
+        span lives on the wall-clock lane. Under a session the run gets
+        its own coverage scope, which isolates the candidate's delta
+        even for a custom ``run_fn`` that does not attach it to the
+        result, and folds it into the session on exit.
         """
         tel = observe.current()
         cov = observe.active()
-        scores: List[Optional[Score]] = [None] * len(batch)
-        pending = list(range(len(batch)))
-        fps: List[Optional[str]] = [None] * len(batch)
-        if store is not None:
-            from ...store.fingerprint import config_fingerprint
-            from ...store.serialize import decode_score
-
-            extra: Dict = {"weights": self.weights}
+        config = payload["config"]
+        with tel.wall_span("fuzz.generation", pid="fuzzer", category="fuzz",
+                           iteration=payload["iteration"]) as span:
             if cov is not None:
-                extra["coverage"] = True
-            pending = []
-            for i, (_, config) in enumerate(batch):
-                fps[i] = config_fingerprint(config, kind="score", extra=extra)
-                cached = store.get(fps[i])
-                if cached is not None:
-                    scores[i] = decode_score(cached)
-                    if cov is not None and scores[i].coverage:
-                        # Replayed runs never touch run_test, so their
-                        # coverage folds into the session here.
-                        cov.merge_snapshot(scores[i].coverage)
-                else:
-                    pending.append(i)
-        if runner is not None:
-            if pending:
-                with tel.wall_span("fuzz.batch", pid="fuzzer",
-                                   category="fuzz",
-                                   first_iteration=first_iteration,
-                                   size=len(pending)) as span:
-                    outcomes = runner.map([
-                        {"config": batch[i][1], "weights": self.weights}
-                        for i in pending
-                    ])
-                    for i, outcome in zip(pending, outcomes):
-                        scores[i] = outcome.value if outcome.ok else None
-                        if (cov is not None and scores[i] is not None
-                                and scores[i].coverage
-                                and not outcome.ran_in_process):
-                            # Pool workers merge into their own private
-                            # session; fold into the parent's here. An
-                            # in-process fallback already merged via
-                            # run_test — folding again would double it.
-                            cov.merge_snapshot(scores[i].coverage)
-                    span.set(failed=sum(1 for i in pending
-                                        if scores[i] is None))
-        else:
-            for i in pending:
-                config = batch[i][1]
-                # Each iteration spawns an independent sim starting at
-                # t=0, so the generation span lives on the wall-clock
-                # lane.
-                with tel.wall_span("fuzz.generation", pid="fuzzer",
-                                   category="fuzz",
-                                   iteration=first_iteration + i) as span:
-                    if cov is not None:
-                        # Scoped capture: isolate this candidate's
-                        # coverage delta even for custom run_fns that
-                        # hit points without attaching them to the
-                        # result; the scope folds back into the
-                        # session on exit, so the session total is
-                        # unchanged. run_test-produced results already
-                        # carry their own (identical) run snapshot.
-                        with cov.scope() as run_scope:
-                            result = self._run(config)
-                        rows = result.coverage
-                        if rows is None and len(run_scope):
-                            rows = run_scope.snapshot()
-                    else:
-                        result = self._run(config)
-                        rows = result.coverage
-                    score = score_result(result, self.weights)
-                    # The score just carries the snapshot for the
-                    # fuzzer's cumulative map and the store.
-                    score.coverage = rows
-                    span.set(score=round(score.total, 3), valid=score.valid)
-                scores[i] = score
-        if store is not None:
-            from ...store.serialize import encode_score
-
-            for i in pending:
-                if scores[i] is not None:
-                    store.put(fps[i], "score", encode_score(scores[i]))
-        return scores
+                with cov.scope() as run_scope:
+                    result = self._run(config)
+                rows = result.coverage
+                if rows is None and len(run_scope):
+                    rows = run_scope.snapshot()
+            else:
+                result = self._run(config)
+                rows = result.coverage
+            score = score_result(result, payload["weights"])
+            # The score carries the snapshot for the fuzzer's cumulative
+            # map and the store.
+            score.coverage = rows
+            span.set(score=round(score.total, 3), valid=score.valid)
+        return score
 
     # ------------------------------------------------------------------
     def run(self, iterations: int = 20, stop_on_first: bool = False,
             workers: int = 1, batch_size: int = 1,
-            runner: Optional["ParallelRunner"] = None,
             store: Optional["CampaignStore"] = None,
             campaign_dir: Optional[str] = None,
             coverage_fitness: Optional[bool] = None) -> FuzzReport:
@@ -480,10 +434,10 @@ class LuminaFuzzer:
         ``batch_size``, and ``batch_size=1`` (the default) reproduces
         the historical strictly-serial schedule exactly.
 
-        A ``runner`` may be injected (for pool reuse across campaigns
-        or for tests); otherwise one is created when ``workers > 1``.
-        Pool execution requires the default ``run_test`` runner — a
-        custom ``run_fn`` keeps scoring in-process.
+        One runner serves the whole campaign, so ``workers > 1`` keeps
+        a single pool across generations. Pool execution requires the
+        default ``run_test`` — a custom ``run_fn`` keeps scoring
+        in-process.
 
         ``store`` dedups identical candidate runs across (and within)
         campaigns. ``campaign_dir`` makes the campaign *persistent*:
@@ -564,13 +518,13 @@ class LuminaFuzzer:
         m_findings = tel.counter("fuzz_findings")
         h_score = tel.histogram("fuzz_score",
                                 buckets=(0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0))
-        owns_runner = False
-        if runner is None and workers > 1 and self._run is run_test:
-            from ...exec import ParallelRunner
-            from ...exec.tasks import score_config_task
+        from ...exec import ParallelRunner
+        from ...exec.tasks import score_config_task
 
-            runner = ParallelRunner(score_config_task, workers=workers)
-            owns_runner = True
+        runner = ParallelRunner(
+            score_config_task,
+            workers=workers if self._run is run_test else 1,
+            in_process_fn=self._score_candidate)
         try:
             while completed < iterations and not stopped:
                 batch = self._generate_batch(
@@ -671,6 +625,5 @@ class LuminaFuzzer:
                     if crash_after is not None and generation >= crash_after:
                         raise SystemExit(3)
         finally:
-            if owns_runner:
-                runner.close()
+            runner.close()
         return report

@@ -22,7 +22,7 @@ returned :class:`~repro.core.results.TestResult`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # avoid a runtime core -> store import cycle
     from ..store.index import CampaignStore
@@ -40,7 +40,7 @@ from .testbed import Host, Testbed, build_testbed
 from .trace import check_integrity, reconstruct_trace
 from .trafficgen import TrafficSession
 
-__all__ = ["Orchestrator", "run_test", "run_tests"]
+__all__ = ["Orchestrator", "run_test"]
 
 #: The legacy fixed drain; the adaptive drain's first (and usually only)
 #: slice, so quiescent runs stay bit-for-bit identical to before.
@@ -90,9 +90,9 @@ class Orchestrator:
         pack_hits_start = pack_cache_hits()
         policy = self.config.retry
         cov = observe.active()
-        if cov is not None:
-            cov.push_scope()
-        try:
+        # The run's own coverage scope: its snapshot rides on the result
+        # and it folds into the enclosing scope on exit.
+        with session.scope() as run_map:
             attempts: List[AttemptRecord] = []
             backoff = 0
             result: TestResult
@@ -127,9 +127,6 @@ class Orchestrator:
                     break
                 backoff = policy.backoff_for(attempt)
                 record.backoff_ns = backoff
-        finally:
-            if cov is not None:
-                run_map = cov.pop_scope()
         result.attempts = attempts
         if cov is not None:
             result.coverage = run_map.snapshot()
@@ -249,106 +246,37 @@ def run_test(config: TestConfig,
              store: Optional["CampaignStore"] = None) -> TestResult:
     """Convenience one-shot: build, run and collect a test.
 
-    With a ``store``, the config's fingerprint is probed first and a
-    cached run is replayed — full trace included — instead of
+    A one-unit :meth:`~repro.exec.runner.ParallelRunner.map_cached`
+    fan-out: with a ``store``, the config's fingerprint is probed first
+    and a cached run is replayed — full trace included — instead of
     simulating again; fresh results are written back. Rewrite rules
     are extra-config state, so rewrite-rule runs bypass the store.
 
-    With coverage enabled, the run's coverage snapshot rides on the
-    result and is merged into the live session map here — the same
-    single merge point for fresh, cached and pool-executed runs, which
-    is what keeps campaign maps byte-identical across worker counts.
+    With coverage enabled, the run's snapshot rides on the result. A
+    fresh run folded its scope into the session as it finished; the
+    fan-out folds a replayed one, so hit counts are never doubled.
     """
-    cov = observe.active()
-    if store is not None and not rewrite_rules:
-        from ..store.fingerprint import config_fingerprint
-        from ..store.serialize import decode_result, encode_result
+    from ..exec.runner import ParallelRunner
+    from ..store import serialize
 
-        extra = {"coverage": True} if cov is not None else None
-        fp = config_fingerprint(config, kind="result", extra=extra)
-        cached = store.get(fp)
-        if cached is not None:
-            result = decode_result(cached)
-        else:
-            result = Orchestrator(config).run()
-            store.put(fp, "result", encode_result(result))
-    else:
-        result = Orchestrator(config, rewrite_rules=rewrite_rules).run()
-    if cov is not None and result.coverage:
-        cov.merge_snapshot(result.coverage)
-    return result
-
-
-def run_tests(configs: List[TestConfig], workers: int = 1,
-              task_timeout_s: Optional[float] = None,
-              store: Optional["CampaignStore"] = None) -> List[TestResult]:
-    """Run a batch of independent tests, optionally on a process pool.
-
-    Results come back in config order and are identical for any worker
-    count (each run is seed-deterministic and fully isolated). Full
-    :class:`TestResult` objects — traces included — cross the process
-    boundary, so for very large campaigns prefer a compact task
-    (see :mod:`repro.exec.tasks`) over this convenience.
-
-    Raises ``RuntimeError`` if any run fails outright; worker crashes
-    are retried and fall back to in-process execution first.
-
-    ``store`` dedups: cached configs are replayed from disk and only
-    the misses are dispatched (results are written back).
-    """
-    if workers <= 1:
-        return [run_test(config, store=store) for config in configs]
-    cov = observe.active()
-    results: List[Optional[TestResult]] = [None] * len(configs)
-    pending = list(range(len(configs)))
-    fps: List[Optional[str]] = [None] * len(configs)
+    if rewrite_rules:
+        store = None
+    keys: List[str] = []
     if store is not None:
         from ..store.fingerprint import config_fingerprint
-        from ..store.serialize import decode_result
 
-        extra = {"coverage": True} if cov is not None else None
-        pending = []
-        for i, config in enumerate(configs):
-            fps[i] = config_fingerprint(config, kind="result", extra=extra)
-            cached = store.get(fps[i])
-            if cached is not None:
-                results[i] = decode_result(cached)
-            else:
-                pending.append(i)
-    merged_in_process = set()
-    if pending:
-        from ..exec import ParallelRunner
-        from ..exec.tasks import run_config_task
+        extra = {"coverage": True} if observe.active() is not None else None
+        keys.append(config_fingerprint(config, kind="result", extra=extra))
+    outcome, = ParallelRunner(_run_unit).map_cached(
+        [(config, rewrite_rules)], keys, store, "result",
+        serialize.encode_result, serialize.decode_result)
+    if not outcome.ok:
+        raise outcome.exception or RuntimeError(outcome.error)
+    return outcome.value
 
-        with ParallelRunner(run_config_task, workers=workers,
-                            task_timeout_s=task_timeout_s) as runner:
-            outcomes = runner.map([{"config": configs[i]} for i in pending])
-        failures = [o for o in outcomes if not o.ok]
-        if failures:
-            raise RuntimeError(
-                f"{len(failures)} of {len(configs)} runs failed; first: "
-                f"{failures[0].error}")
-        if store is not None:
-            from ..store.serialize import encode_result
 
-            for i, outcome in zip(pending, outcomes):
-                results[i] = outcome.value
-                store.put(fps[i], "result", encode_result(outcome.value))
-        else:
-            for i, outcome in zip(pending, outcomes):
-                results[i] = outcome.value
-        for i, outcome in zip(pending, outcomes):
-            if outcome.ran_in_process:
-                # The fallback ran run_test in this process, which
-                # already merged its coverage into the session.
-                merged_in_process.add(i)
-    if cov is not None:
-        # Same merge route as run_test, in config order: worker-local
-        # maps ride on each result and fold here, so any worker count
-        # produces an identical session map.
-        for i, result in enumerate(results):
-            if i in merged_in_process:
-                continue
-            if result is not None and result.coverage:
-                cov.merge_snapshot(result.coverage)
-    return results  # type: ignore[return-value]
+def _run_unit(unit: Tuple[TestConfig, Optional[List[RewriteRule]]]
+              ) -> TestResult:
+    """``run_test``'s task: one ``(config, rewrite_rules)`` run."""
+    config, rewrite_rules = unit
+    return Orchestrator(config, rewrite_rules=rewrite_rules).run()

@@ -34,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-if TYPE_CHECKING:  # avoid a runtime core -> exec/store import cycle
-    from ..exec.runner import ParallelRunner
+if TYPE_CHECKING:  # avoid a runtime core -> store import cycle
     from ..faults.scenarios import FaultScenario
     from ..store.index import CampaignStore
 
@@ -560,11 +559,8 @@ def run_single_check(name: str, nic: str, seed: int,
     if cov is None:
         return CHECKS[name](nic, seed, scenario)
     cov.reset_recorders()
-    cov.push_scope()
-    try:
+    with cov.scope() as check_map:
         result = CHECKS[name](nic, seed, scenario)
-    finally:
-        check_map = cov.pop_scope()
     result.coverage = check_map.snapshot()
     if result.outcome is not Outcome.PASS:
         result.flight_record = cov.flight_snapshot()
@@ -574,7 +570,6 @@ def run_single_check(name: str, nic: str, seed: int,
 def run_conformance_suite(nic: str, seed: Optional[int] = None,
                           checks: Optional[List[str]] = None,
                           workers: int = 1,
-                          runner: Optional["ParallelRunner"] = None,
                           faults: Optional[Union[str, "FaultScenario"]] = None,
                           store: Optional["CampaignStore"] = None,
                           ) -> Scorecard:
@@ -588,8 +583,8 @@ def run_conformance_suite(nic: str, seed: Optional[int] = None,
     :class:`repro.exec.ParallelRunner` process pool. The scorecard is
     identical for any worker count: results keep battery order and
     each check's verdict depends only on ``(nic, seed)``. A check
-    whose *execution* dies (worker lost and unrecoverable) reports as
-    a failed check rather than aborting the battery.
+    whose *execution* dies reports as a failed check rather than
+    aborting the battery.
 
     ``faults`` (a scenario name or :class:`FaultScenario`) runs every
     check under injected measurement-plane faults: trace-based checks
@@ -602,6 +597,10 @@ def run_conformance_suite(nic: str, seed: Optional[int] = None,
     a repeated battery is near-instant while any input change forces a
     re-run. Execution *failures* are never cached.
     """
+    from ..exec import ParallelRunner
+    from ..exec.tasks import run_check_task
+    from ..store import serialize
+
     if seed is None:
         seed = DEFAULT_SUITE_SEED
     selected = checks or list(CHECKS)
@@ -609,67 +608,23 @@ def run_conformance_suite(nic: str, seed: Optional[int] = None,
     if unknown:
         raise KeyError(f"unknown checks: {sorted(unknown)}")
     scenario = _resolve_faults(faults)
+    payloads = []
+    for name in selected:
+        payload: Dict[str, object] = {"check": name, "nic": nic, "seed": seed}
+        if scenario is not None:
+            # FaultScenario is a frozen dataclass: pickles fine, so
+            # ad-hoc scenarios work across the pool, not just presets.
+            payload["faults"] = scenario
+        payloads.append(payload)
+    keys = ([_check_fingerprint(name, nic, seed, scenario)
+             for name in selected] if store is not None else [])
+    with ParallelRunner(run_check_task, workers=workers) as runner:
+        outcomes = runner.map_cached(payloads, keys, store, "check",
+                                     serialize.encode_check_result,
+                                     serialize.decode_check_result)
     card = Scorecard(nic=nic)
-    results: Dict[str, CheckResult] = {}
-    fps: Dict[str, str] = {}
-    pending = list(selected)
-    if store is not None:
-        from ..store.serialize import decode_check_result
-
-        pending = []
-        for name in selected:
-            fps[name] = _check_fingerprint(name, nic, seed, scenario)
-            cached = store.get(fps[name])
-            if cached is not None:
-                results[name] = decode_check_result(cached)
-            else:
-                pending.append(name)
-
-    def _record(name: str, result: CheckResult, cacheable: bool) -> None:
-        results[name] = result
-        if store is not None and cacheable:
-            from ..store.serialize import encode_check_result
-
-            store.put(fps[name], "check", encode_check_result(result))
-
-    if pending and workers <= 1 and runner is None:
-        for name in pending:
-            _record(name, run_single_check(name, nic, seed, scenario), True)
-    elif pending:
-        from ..exec import ParallelRunner
-        from ..exec.tasks import run_check_task
-
-        owns_runner = runner is None
-        if owns_runner:
-            runner = ParallelRunner(run_check_task, workers=workers)
-        try:
-            payloads = []
-            for name in pending:
-                payload: Dict[str, object] = {"check": name, "nic": nic,
-                                              "seed": seed}
-                if scenario is not None:
-                    # FaultScenario is a frozen dataclass: pickles fine,
-                    # so ad-hoc scenarios work across the pool, not just
-                    # named presets.
-                    payload["faults"] = scenario
-                payloads.append(payload)
-            outcomes = runner.map(payloads)
-        finally:
-            if owns_runner:
-                runner.close()
-        for name, outcome in zip(pending, outcomes):
-            if outcome.ok:
-                _record(name, outcome.value, True)
-            else:
-                _record(name, CheckResult(
-                    name, False, f"execution failed: {outcome.error}"), False)
-    card.results = [results[name] for name in selected]
-    cov = observe.active()
-    if cov is not None:
-        # Fold each check's map into the session in battery order — the
-        # same route for serial, pooled and store-replayed verdicts, so
-        # the session map is byte-identical for any worker count.
-        for check in card.results:
-            if check.coverage:
-                cov.merge_snapshot(check.coverage)
+    card.results = [
+        outcome.value if outcome.ok else
+        CheckResult(name, False, f"execution failed: {outcome.error}")
+        for name, outcome in zip(selected, outcomes)]
     return card

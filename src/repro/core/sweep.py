@@ -94,63 +94,31 @@ def run_sweep(payload: Dict, workers: int = 1,
               store: Optional["CampaignStore"] = None) -> SweepExecution:
     """Execute one sweep grid, replaying cached cells from ``store``.
 
-    Cached cells short-circuit without touching the process pool; a
-    fully-cached grid therefore spawns no workers at all (the runner is
-    never even constructed). Fresh summaries are stored as they land,
-    so a repeated sweep replays every cell.
+    Cached cells short-circuit without touching the process pool, so a
+    fully-cached grid spawns no workers at all. Fresh summaries are
+    stored as they land, so a repeated sweep replays every cell.
     """
     configs, cells = build_grid(payload)
 
     from .. import observe
-    from ..exec import ParallelRunner, TaskOutcome
+    from ..exec import ParallelRunner
     from ..exec.tasks import run_summary_task
 
-    cov = observe.active()
-    outcomes: List[Optional[TaskOutcome]] = [None] * len(configs)
-    fps: List[Optional[str]] = [None] * len(configs)
-    pending = list(range(len(configs)))
+    keys: List[str] = []
     if store is not None:
         from ..store.fingerprint import config_fingerprint
 
-        extra = {"coverage": True} if cov is not None else None
-        pending = []
-        for i, config in enumerate(configs):
-            fps[i] = config_fingerprint(config, kind="summary", extra=extra)
-            cached = store.get(fps[i])
-            if cached is not None:
-                outcomes[i] = TaskOutcome(index=i, ok=True, value=cached,
-                                          cached=True)
-            else:
-                pending.append(i)
-
-    crashes = 0
-    if pending:
-        with ParallelRunner(run_summary_task, workers=workers,
-                            task_timeout_s=payload.get("timeout")) as runner:
-            fresh = runner.map([{"config": configs[i]} for i in pending])
-        crashes = runner.stats.worker_crashes
-        for i, outcome in zip(pending, fresh):
-            outcomes[i] = TaskOutcome(index=i, ok=outcome.ok,
-                                      value=outcome.value,
-                                      error=outcome.error,
-                                      attempts=outcome.attempts,
-                                      ran_in_process=outcome.ran_in_process)
-            if store is not None and outcome.ok:
-                store.put(fps[i], "summary", outcome.value)
-
-    if cov is not None:
-        # Summaries carry each run's coverage; fold in cell order. An
-        # in-process (fallback or workers=1) run already merged via
-        # run_test, so only pool-executed and cached cells fold here.
-        for outcome in outcomes:
-            if (outcome is not None and outcome.ok
-                    and not outcome.ran_in_process
-                    and isinstance(outcome.value, dict)
-                    and outcome.value.get("coverage")):
-                cov.merge_snapshot(outcome.value["coverage"])
-
-    return SweepExecution(cells, outcomes, executed=len(pending),
-                          crashes=crashes)
+        extra = {"coverage": True} if observe.active() is not None else None
+        keys = [config_fingerprint(config, kind="summary", extra=extra)
+                for config in configs]
+    with ParallelRunner(run_summary_task, workers=workers,
+                        task_timeout_s=payload.get("timeout")) as runner:
+        outcomes = runner.map_cached([{"config": config}
+                                      for config in configs],
+                                     keys, store, "summary")
+    executed = sum(1 for outcome in outcomes if not outcome.cached)
+    return SweepExecution(cells, outcomes, executed=executed,
+                          crashes=runner.stats.worker_crashes)
 
 
 def render_sweep_report(cells: List[Tuple[str, int]],

@@ -351,15 +351,19 @@ def format_trace(trace: PacketTrace, limit: Optional[int] = None,
 
 
 def reconstruct_trace(records: Iterable[DumpRecord],
-                      expected_packets: Optional[int] = None) -> PacketTrace:
+                      expected_packets: Optional[int] = None,
+                      record_coverage: bool = True) -> PacketTrace:
     """Sort dumped records by mirror sequence and re-derive ITERs.
 
     ``expected_packets`` is the switch's mirrored-packet count; passing
     it lets the trace annotate *tail* losses (mirror seqs beyond the
     last captured packet) as gaps, which the trace alone cannot see.
+    ``record_coverage=False`` keeps the ITER re-derivation out of the
+    live coverage map — for traces that are reloaded, not captured.
     """
     parsed = sorted((parse_record(r) for r in records), key=lambda p: p.mirror_seq)
-    tracker = IterTracker(max_connections=1_000_000)
+    tracker = IterTracker(max_connections=1_000_000,
+                          record_coverage=record_coverage)
     packets = []
     append = packets.append
     update = tracker.update

@@ -7,7 +7,9 @@ while keeping results byte-identical to serial execution:
 
 * :class:`ParallelRunner` — the pool itself: per-task timeouts,
   retry-on-worker-crash, graceful in-process fallback, per-worker
-  telemetry merge.
+  telemetry merge, and :meth:`~ParallelRunner.map_cached`, the cached
+  fan-out (store probe, write-back, coverage fold) that ``run_test``,
+  the conformance suite, sweeps and fuzzing generations all call.
 * :mod:`repro.exec.tasks` — the picklable task functions (score a fuzz
   candidate, run a conformance check, summarise a sweep run).
 * :mod:`repro.exec.worker` — the worker-side shim that wraps each task

@@ -16,6 +16,13 @@ ProcessPoolExecutor` and hides the operational sharp edges:
   merged into the parent's live session in task order, keeping merged
   metrics deterministic for any worker count.
 
+:meth:`ParallelRunner.map_cached` is the cached fan-out every campaign
+front-end (``run_test``, the conformance suite, sweeps, fuzzing
+generations) shares: probe a campaign store, run the misses, write
+fresh results back, and fold coverage into the live session under one
+rule — *in-process units fold themselves, the fan-out folds everything
+else*.
+
 Determinism contract: the runner never reorders results (outcome ``i``
 always corresponds to payload ``i``) and injects no randomness, so any
 campaign whose tasks are themselves deterministic produces identical
@@ -30,10 +37,14 @@ import pickle
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, List, Optional, Sequence,
+                    Tuple)
 
 from .. import observe
 from . import worker as worker_mod
+
+if TYPE_CHECKING:  # avoid a runtime exec -> store import cycle
+    from ..store.index import CampaignStore
 
 __all__ = ["TaskOutcome", "RunnerStats", "ParallelRunner",
            "UnpicklableTaskError"]
@@ -76,6 +87,22 @@ def _unpicklable_path(obj: Any, prefix: str) -> Optional[Tuple[str, str]]:
             return deeper
     return failure
 
+
+def _identity(value: Any) -> Any:
+    return value
+
+
+def _carried_coverage(value: Any) -> Optional[list]:
+    """The coverage snapshot a task value carries, if any.
+
+    Result objects (``TestResult``, ``CheckResult``, ``Score``) carry
+    it as ``.coverage``; sweep summaries as a ``"coverage"`` key.
+    """
+    if isinstance(value, dict):
+        return value.get("coverage")
+    return getattr(value, "coverage", None)
+
+
 #: Consecutive pool breakages after which the runner stops rebuilding
 #: pools and finishes the campaign in-process.
 _MAX_POOL_BREAKS = 3
@@ -85,10 +112,10 @@ _MAX_POOL_BREAKS = 3
 class TaskOutcome:
     """Result envelope for one mapped payload (same index as input).
 
-    ``cached`` marks outcomes replayed from a campaign store rather
-    than executed; the runner itself never sets it, but campaign
-    front-ends construct cached outcomes so hit and miss cells flow
-    through one reporting path.
+    ``cached`` marks outcomes :meth:`ParallelRunner.map_cached` replayed
+    from a campaign store rather than executed. ``exception`` keeps the
+    original exception of an in-process failure, so a one-unit caller
+    such as ``run_test`` can re-raise it unchanged.
     """
 
     index: int
@@ -98,6 +125,8 @@ class TaskOutcome:
     attempts: int = 1
     ran_in_process: bool = False
     cached: bool = False
+    exception: Optional[BaseException] = field(default=None, repr=False,
+                                               compare=False)
 
 
 @dataclass
@@ -117,13 +146,17 @@ class ParallelRunner:
 
     ``task_fn`` must be a module-level callable (pickled by reference
     into ``spawn``-ed workers) taking one picklable payload and
-    returning one picklable value.
+    returning one picklable value. ``in_process_fn`` (default
+    ``task_fn``) replaces it wherever a payload runs in this process —
+    ``workers=1``, a platform without pools, the crash fallback — and
+    need not be picklable; it must return the same kind of value.
     """
 
     def __init__(self, task_fn: Callable[[Any], Any], workers: int = 1,
                  mp_context: str = "spawn",
                  task_timeout_s: Optional[float] = None,
-                 max_retries: int = 2):
+                 max_retries: int = 2,
+                 in_process_fn: Optional[Callable[[Any], Any]] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if workers > 1:
@@ -135,6 +168,7 @@ class ParallelRunner:
                     f"spawn workers ({problem[1]}); pass a module-level "
                     f"function (see repro.exec.tasks)")
         self.task_fn = task_fn
+        self.in_process_fn = in_process_fn or task_fn
         self.workers = workers
         self.task_timeout_s = task_timeout_s
         self.max_retries = max(1, max_retries)
@@ -207,12 +241,13 @@ class ParallelRunner:
                         attempts: int = 1) -> TaskOutcome:
         self.stats.in_process_runs += 1
         try:
-            value = self.task_fn(payload)
+            value = self.in_process_fn(payload)
         except Exception as exc:
             self.stats.tasks_failed += 1
             return TaskOutcome(index=index, ok=False,
                                error=f"{type(exc).__name__}: {exc}",
-                               attempts=attempts, ran_in_process=True)
+                               attempts=attempts, ran_in_process=True,
+                               exception=exc)
         self.stats.tasks_completed += 1
         return TaskOutcome(index=index, ok=True, value=value,
                            attempts=attempts, ran_in_process=True)
@@ -315,3 +350,53 @@ class ParallelRunner:
             for i in sorted(snapshots):
                 obs.registry.merge(snapshots[i])
         return outcomes  # type: ignore[return-value]
+
+    def map_cached(self, payloads: Sequence[Any],
+                   keys: Sequence[str] = (),
+                   store: Optional["CampaignStore"] = None,
+                   kind: str = "",
+                   encode: Callable[[Any], Any] = _identity,
+                   decode: Callable[[Any], Any] = _identity,
+                   ) -> List[TaskOutcome]:
+        """The cached fan-out: :meth:`map` behind a campaign store.
+
+        With a ``store``, ``keys[i]`` (the caller's fingerprint for
+        payload ``i``) is probed first and a hit becomes a ``cached``
+        outcome holding ``decode(document)``; only the misses go
+        through :meth:`map`, and each fresh, ok value is written back
+        as ``encode(value)`` under ``kind``. Failures are never cached.
+
+        Coverage follows one rule: a unit that ran in this process
+        already folded its own scope into the live session, so only
+        the snapshots carried by pool-executed and store-replayed
+        values are folded here, in unit order. Coverage merges are
+        commutative, so the session total is the same for any worker
+        count and on replay.
+        """
+        outcomes: List[Optional[TaskOutcome]] = [None] * len(payloads)
+        pending = list(range(len(payloads)))
+        if store is not None:
+            pending = []
+            for i, key in enumerate(keys):
+                doc = store.get(key)
+                if doc is None:
+                    pending.append(i)
+                else:
+                    outcomes[i] = TaskOutcome(index=i, ok=True,
+                                              value=decode(doc), cached=True)
+        if pending:
+            fresh = self.map([payloads[i] for i in pending])
+            for i, outcome in zip(pending, fresh):
+                outcome.index = i
+                outcomes[i] = outcome
+                if store is not None and outcome.ok:
+                    store.put(keys[i], kind, encode(outcome.value))
+        cov = observe.active()
+        if cov is not None:
+            for outcome in outcomes:
+                if outcome.ok and not outcome.ran_in_process:
+                    rows = _carried_coverage(outcome.value)
+                    if rows:
+                        cov.merge_snapshot(rows)
+        return outcomes  # type: ignore[return-value]
+

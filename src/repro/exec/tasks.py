@@ -11,9 +11,9 @@ process, amortised over every task it serves.
 Campaign tasks return *compact* values — a :class:`Score`, a
 :class:`CheckResult`, a summary dict — never full packet traces; a
 trace can be tens of thousands of parsed records and would make the
-result pipe the bottleneck. The exception is :func:`run_config_task`,
-the building block of :func:`repro.core.orchestrator.run_tests`, whose
-callers explicitly want the full :class:`TestResult` back.
+result pipe the bottleneck. Each value carries its unit's coverage
+snapshot, which :meth:`~repro.exec.runner.ParallelRunner.map_cached`
+folds into the parent's session.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from typing import Any, Dict
 __all__ = [
     "score_config_task",
     "run_check_task",
-    "run_config_task",
     "run_summary_task",
-    "summarize_result",
     "echo_task",
     "sleep_task",
     "crash_in_worker_task",
@@ -70,24 +68,16 @@ def run_check_task(payload: Dict[str, Any]):
                             payload["seed"], faults)
 
 
-def run_config_task(payload: Dict[str, Any]):
-    """Run one test config and return the full TestResult.
+def run_summary_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Benchmark-sweep unit: run one config, return a compact summary.
 
-    Payload: ``{"config": TestConfig}``. Heavyweight return — prefer
-    :func:`run_summary_task` for large sweeps.
+    Payload: ``{"config": TestConfig}``. The summary is what the
+    campaign store keeps for a sweep cell, so a replayed cell and a
+    fresh one render identically.
     """
     from ..core.orchestrator import run_test
 
-    return run_test(payload["config"])
-
-
-def summarize_result(result) -> Dict[str, Any]:
-    """The sweep's compact summary of one :class:`TestResult`.
-
-    Shared by :func:`run_summary_task` (pool workers) and the campaign
-    store's replay path, so a cached cell and a fresh cell summarise
-    identically — a prerequisite for byte-identical sweep reports.
-    """
+    result = run_test(payload["config"])
     log = result.traffic_log
     summary = {
         "ok": result.ok,
@@ -106,16 +96,6 @@ def summarize_result(result) -> Dict[str, Any]:
     if result.coverage is not None:
         summary["coverage"] = result.coverage
     return summary
-
-
-def run_summary_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Benchmark-sweep unit: run one config, return a compact summary.
-
-    Payload: ``{"config": TestConfig}``.
-    """
-    from ..core.orchestrator import run_test
-
-    return summarize_result(run_test(payload["config"]))
 
 
 # ---------------------------------------------------------------------------

@@ -515,17 +515,14 @@ class SpawnRaceRule(ProgramRule):
                  "appendleft"}
     _MERGE_METHODS = {"merge", "merge_snapshot", "merge_map"}
     #: The declared single merge points (qname suffixes): the runner's
-    #: task-order registry fold, the orchestrator/suite/fuzzer coverage
-    #: folds. Everything else merging observability state is a second
-    #: merge path waiting to double-count.
+    #: task-order registry fold, the cached fan-out's coverage fold and
+    #: the fuzzer's campaign-map fold. Everything else merging
+    #: observability state is a second merge path waiting to
+    #: double-count.
     _MERGE_POINTS = (
         "exec.runner.ParallelRunner.map",
-        "core.orchestrator.run_test",
-        "core.orchestrator.run_tests",
-        "core.suite.run_conformance_suite",
-        "core.fuzz.fuzzer.LuminaFuzzer._score_batch",
+        "exec.runner.ParallelRunner.map_cached",
         "core.fuzz.fuzzer.LuminaFuzzer.run",
-        "core.sweep.run_sweep",
     )
     _MERGE_RECEIVER_HINTS = ("observe", "coverage", "telemetry", "registry")
     _MERGE_RECEIVER_NAMES = {"obs", "cov", "session", "registry", "total",

@@ -28,12 +28,14 @@ wall-clock readings or attach the probe check :attr:`Session.metrics`.
 
 **Scopes.** Campaign layers need per-run and per-check maps (carried on
 results across process boundaries) *and* a campaign total. The
-orchestrator pushes a scope around each run and the suite one around
-each check; :meth:`Session.pop_scope` returns the popped map *without*
-folding it into the parent. Folding is the caller's job (``run_test``
-merges result-carried snapshots, the suite check-carried ones, in
-battery order), so the serial, pooled and store-replayed paths take one
-merge route — the root of the workers∈{1,2,4} byte-identity guarantee.
+orchestrator opens a :meth:`Session.scope` around each run and the
+suite one around each check; a scope folds into its parent when it
+closes. One fold rule then holds everywhere: **in-process units fold
+themselves, and the fan-out folds everything else** —
+:meth:`~repro.exec.runner.ParallelRunner.map_cached` folds the
+snapshots carried by pool-executed and store-replayed units. Coverage
+merges are commutative, so every path reaches the same total — the
+root of the workers∈{1,2,4} byte-identity guarantee.
 
 Determinism guarantee: nothing here feeds back into the simulation. A
 session observes sim state and wall time but never schedules events,
@@ -45,7 +47,7 @@ unobserved runs produce byte-identical traces and verdicts (enforced by
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .coverage.map import NULL_DOMAIN, CoverageMap, DomainHandle
@@ -54,7 +56,7 @@ from .telemetry.metrics import NULL_REGISTRY, MetricsRegistry
 from .telemetry.spans import NULL_TRACER, Tracer
 
 __all__ = ["Session", "NULL_SESSION", "enable", "disable", "current",
-           "active", "session"]
+           "active", "session", "session_for"]
 
 
 class Session:
@@ -111,19 +113,6 @@ class Session:
             handle = self._domains[name] = DomainHandle(self, name)
         return handle
 
-    def push_scope(self) -> None:
-        scope = CoverageMap()
-        self._stack.append(scope)
-        self.live = scope
-
-    def pop_scope(self) -> CoverageMap:
-        """Pop and return the innermost scope. Does NOT merge it up."""
-        if len(self._stack) == 1:
-            raise RuntimeError("cannot pop the root coverage scope")
-        popped = self._stack.pop()
-        self.live = self._stack[-1]
-        return popped
-
     @contextmanager
     def scope(self) -> Iterator[CoverageMap]:
         """Isolate hits in a fresh scope, then fold them into the parent.
@@ -132,12 +121,15 @@ class Session:
         so the caller can snapshot the isolated delta; on exit — by any
         path — it is popped and merged into the enclosing scope.
         """
-        self.push_scope()
+        scope = CoverageMap()
+        self._stack.append(scope)
+        self.live = scope
         try:
-            yield self.live
+            yield scope
         finally:
-            popped = self.pop_scope()
-            self.live.merge_map(popped)
+            self._stack.pop()
+            self.live = self._stack[-1]
+            self.live.merge_map(scope)
 
     def merge_snapshot(self, snapshot) -> None:
         """Fold a result-carried snapshot into the innermost scope."""
@@ -228,12 +220,6 @@ class _NullSession(Session):
     def recorder(self, component: str):
         return NULL_RECORDER
 
-    def push_scope(self) -> None:
-        pass
-
-    def pop_scope(self) -> CoverageMap:
-        return CoverageMap()
-
     @contextmanager
     def scope(self) -> Iterator[CoverageMap]:
         yield CoverageMap()
@@ -297,3 +283,20 @@ def session(out_dir: Optional[str] = None, *,
             live.export()
     finally:
         disable()
+
+
+def session_for(out_dir: Optional[str] = None,
+                coverage_fitness: Optional[bool] = None
+                ) -> AbstractContextManager:
+    """The session one campaign command needs, as a context manager.
+
+    An ``out_dir`` gets a full session exported there; otherwise a
+    ``coverage_fitness`` request still needs coverage for its feedback
+    and gets an in-memory, coverage-only session; anything else runs
+    unobserved. The CLI and the service's job process both decide
+    through here, so a local and a remote campaign see the same
+    session.
+    """
+    if out_dir is None and not coverage_fitness:
+        return nullcontext()
+    return session(out_dir, metrics=out_dir is not None)

@@ -11,13 +11,12 @@ ones.
 :func:`job_worker_main` is the module-level entry point the dispatcher
 spawns as an isolated job process (picklable by reference, like
 :mod:`repro.exec.tasks`): it opens the shared campaign store, observes
-the job when the spec asks for it, executes, and atomically persists
+the job when the spec needs it, executes, and atomically persists
 ``result.json`` into the job directory.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -254,7 +253,9 @@ def job_worker_main(spec_doc: Dict, job_dir: str,
     result document lands atomically in ``job_dir/result.json`` (and is
     returned, for in-process callers). A spec that asks to be observed
     runs under an observation session that exports into
-    ``job_dir/observe/``.
+    ``job_dir/observe/``; a fuzz spec with ``coverage-fitness`` and no
+    ``observe`` gets the in-memory, coverage-only session the local
+    CLI would open (:func:`repro.observe.session_for`).
 
     ``campaign_dir`` hosts a fuzz job's generation journal. The
     dispatcher keys it by spec *fingerprint* (not job id), so a fuzz
@@ -269,9 +270,9 @@ def job_worker_main(spec_doc: Dict, job_dir: str,
         from ..store import CampaignStore
 
         store = CampaignStore(store_root)
-    session = (observe.session(os.path.join(job_dir, OBSERVE_DIR))
-               if spec.payload.get("observe") else contextlib.nullcontext())
-    with session:
+    out_dir = (os.path.join(job_dir, OBSERVE_DIR)
+               if spec.payload.get("observe") else None)
+    with observe.session_for(out_dir, spec.payload.get("coverage-fitness")):
         outcome = execute_jobspec(
             spec, store=store,
             campaign_dir=campaign_dir if spec.kind == "fuzz" else None)

@@ -181,14 +181,8 @@ def encode_jobspec(spec: JobSpec) -> Dict:
 
 
 def decode_jobspec(data: Dict) -> JobSpec:
-    """Inverse of :func:`encode_jobspec`.
-
-    Also accepts a legacy unversioned body (``{"job-kind": ...,
-    "payload": ...}``) with a DeprecationWarning, per the repo-wide
-    document-versioning policy.
-    """
-    _version, body = unwrap_document(data, kind="job-spec"
-                                     if "schema-version" in data else None)
+    """Inverse of :func:`encode_jobspec`; rejects unversioned bodies."""
+    _version, body = unwrap_document(data, kind="job-spec")
     try:
         kind = body["job-kind"]
     except KeyError:

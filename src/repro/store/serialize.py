@@ -14,7 +14,6 @@ from a fresh one.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, Tuple
 
 from ..core.config import TestConfig
@@ -62,21 +61,17 @@ def wrap_document(kind: str, body: Dict) -> Dict:
 
 def unwrap_document(data: Dict, kind: Optional[str] = None,
                     ) -> Tuple[int, Dict]:
-    """``(schema_version, body)`` of an envelope, tolerating legacy docs.
+    """``(schema_version, body)`` of a versioned envelope.
 
-    A document without a ``schema-version`` key predates the envelope;
-    it is returned as-is with version ``0`` and a DeprecationWarning so
-    producers migrate. ``kind`` (when given) is validated against the
-    envelope, and a document from a *newer* schema than this code
-    understands is rejected rather than misread.
+    A document without a ``schema-version`` key is rejected, as is one
+    from a *newer* schema than this code understands; ``kind`` (when
+    given) is validated against the envelope.
     """
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     if "schema-version" not in data:
-        warnings.warn(
-            "loading an unversioned legacy document; re-save it to add "
-            "the schema-version envelope", DeprecationWarning, stacklevel=2)
-        return 0, data
+        raise ValueError("unversioned document: no schema-version "
+                         "envelope")
     version = int(data["schema-version"])
     if version > DOCUMENT_SCHEMA_VERSION:
         raise ValueError(
@@ -134,7 +129,10 @@ def _decode_trace(data: Dict) -> PacketTrace:
                    server=r["server"], core=r["core"])
         for r in data["records"]
     ]
-    return reconstruct_trace(records, expected_packets=data["expected-packets"])
+    # A replayed trace is not a new run: the stored result already
+    # carries its run's coverage, ITER re-derivation included.
+    return reconstruct_trace(records, expected_packets=data["expected-packets"],
+                             record_coverage=False)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +447,7 @@ def save_result_file(result: TestResult, path: str) -> str:
     """Write one result as standalone JSON (the ``repro.api`` format).
 
     The file carries the versioned document envelope
-    (:func:`wrap_document`); :func:`load_result_file` still reads
-    pre-envelope files, with a DeprecationWarning.
+    (:func:`wrap_document`).
     """
     import json
 
@@ -466,5 +463,5 @@ def load_result_file(path: str) -> TestResult:
 
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    _version, body = unwrap_document(data, kind=None)
+    _version, body = unwrap_document(data)
     return decode_result(body)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .. import observe
+from ..coverage.map import NULL_DOMAIN
 
 __all__ = ["IterTracker", "ConnState"]
 
@@ -41,10 +42,12 @@ class ConnState:
 class IterTracker:
     """Tracks ITER for every directed connection seen by the switch."""
 
-    def __init__(self, max_connections: int = 10_000):
+    def __init__(self, max_connections: int = 10_000,
+                 record_coverage: bool = True):
         self.max_connections = max_connections
         self._conns: Dict[Tuple[int, int, int], ConnState] = {}
-        self._cov = observe.current().domain("switch.iter")
+        self._cov = (observe.current().domain("switch.iter")
+                     if record_coverage else NULL_DOMAIN)
 
     def update(self, src_ip: int, dst_ip: int, dst_qpn: int, psn: int,
                now_ns: int = 0) -> int:

@@ -15,14 +15,17 @@ The coverage subsystem's contracts (see ``repro/coverage/map``):
 import pytest
 
 from repro import observe, quick_config
-from repro.core.fuzz import LuminaFuzzer
-from repro.core.orchestrator import run_test, run_tests
+from repro.core.fuzz import LuminaFuzzer, make_fuzzer
+from repro.core.report import render_fuzz_summary
+from repro.core.orchestrator import Orchestrator, run_test
 from repro.core.suite import (DEFAULT_SUITE_SEED, Outcome,
                               run_conformance_suite, run_single_check)
+from repro.core.sweep import render_sweep_report, run_sweep
 from repro.core.trace import format_trace
 from repro.coverage.domains import DOMAINS, known_point_count
 from repro.coverage.map import CoverageMap, canonical_coverage_json
 from repro.faults import get_scenario
+from repro.store import CampaignStore
 from repro.store.serialize import decode_result, encode_result
 
 
@@ -126,22 +129,33 @@ class TestResultAttachment:
         assert "flight-record" not in data
 
 
-class TestWorkerDeterminism:
-    SEEDS = (31, 32, 33, 34)
+class TestSingleFoldRule:
+    """In-process units fold themselves; the fan-out folds the rest."""
 
-    def _session_doc(self, workers: int) -> str:
+    def test_direct_orchestrator_run_folds_into_session(self):
         session = observe.enable(metrics=False)
-        try:
-            run_tests([_config(seed) for seed in self.SEEDS],
-                      workers=workers)
-            return canonical_coverage_json(session.total_snapshot())
-        finally:
-            observe.disable()
+        result = Orchestrator(_config()).run()
+        assert result.coverage
+        assert session.total_snapshot() == result.coverage
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_batch_map_identical_for_any_worker_count(self, workers):
-        assert self._session_doc(workers) == self._session_doc(1)
+    def test_store_replayed_run_test_folds_once(self, tmp_path):
+        store = CampaignStore(str(tmp_path / "store"))
+        fresh_session = observe.enable(metrics=False)
+        fresh = run_test(_config(), store=store)
+        fresh_doc = canonical_coverage_json(fresh_session.total_snapshot())
+        observe.disable()
 
+        replay_session = observe.enable(metrics=False)
+        replayed = run_test(_config(), store=store)
+        assert store.hits == 1
+        assert replayed.coverage == fresh.coverage
+        # Hit counts match a fresh run's: the replay folds exactly once.
+        assert canonical_coverage_json(
+            replay_session.total_snapshot()) == fresh_doc
+        assert replay_session.total_snapshot() == fresh.coverage
+
+
+class TestWorkerDeterminism:
     def test_suite_map_identical_across_worker_counts(self):
         checks = ["gbn-logic", "corruption-detection"]
 
@@ -157,6 +171,53 @@ class TestWorkerDeterminism:
                 observe.disable()
 
         assert suite_doc(2) == suite_doc(1)
+
+    SWEEP = {"config": None, "nics": ["cx5", "e810"], "seeds": 2,
+             "base-seed": 1, "verb": "write", "connections": 2,
+             "messages": 2, "size": 20480, "faults": None, "timeout": None}
+
+    def _sweep_docs(self, workers, store=None):
+        session = observe.enable(metrics=False)
+        try:
+            execution = run_sweep(self.SWEEP, workers=workers, store=store)
+            report, failures = render_sweep_report(execution.cells,
+                                                   execution.outcomes)
+            assert failures == 0
+            return report, canonical_coverage_json(
+                session.total_snapshot()), execution.executed
+        finally:
+            observe.disable()
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_batch_map_identical_for_any_worker_count(self, workers):
+        # An observed sweep: same report, same session map.
+        assert self._sweep_docs(workers)[:2] == self._sweep_docs(1)[:2]
+
+    def test_batch_map_identical_on_store_replay(self, tmp_path):
+        report, doc, _ = self._sweep_docs(1)
+        store = CampaignStore(str(tmp_path / "store"))
+        assert self._sweep_docs(2, store) == (report, doc, 4)
+        assert self._sweep_docs(1, store) == (report, doc, 0)
+
+    def _fuzz_docs(self, workers, store=None):
+        session = observe.enable(metrics=False)
+        try:
+            fuzzer, _ = make_fuzzer("counter-bugs", "e810", seed=1)
+            report = fuzzer.run(iterations=4, batch_size=2,
+                                workers=workers, store=store)
+            return render_fuzz_summary(report), canonical_coverage_json(
+                session.total_snapshot())
+        finally:
+            observe.disable()
+
+    def test_guided_fuzz_identical_across_workers_and_replay(self, tmp_path):
+        summary, doc = self._fuzz_docs(1)
+        assert "coverage growth:" in summary
+        assert self._fuzz_docs(2) == (summary, doc)
+        store = CampaignStore(str(tmp_path / "store"))
+        assert self._fuzz_docs(2, store) == (summary, doc)
+        assert self._fuzz_docs(1, store) == (summary, doc)
+        assert store.hits == 4
 
 
 class TestFlightRecorder:

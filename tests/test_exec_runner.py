@@ -30,6 +30,10 @@ def _explode(payload):
     raise ValueError(f"bad payload {payload}")
 
 
+def _double_or_explode(payload):
+    return _explode(payload) if payload < 0 else _double(payload)
+
+
 class TestSerialPath:
     def test_workers_one_runs_in_process(self):
         with ParallelRunner(_double, workers=1) as runner:
@@ -54,6 +58,52 @@ class TestSerialPath:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             ParallelRunner(_double, workers=0)
+
+
+class TestCachedFanOut:
+    def _store(self, tmp_path):
+        from repro.store import CampaignStore
+
+        return CampaignStore(str(tmp_path / "store"))
+
+    def test_hits_replay_and_only_ok_misses_are_written_back(self,
+                                                             tmp_path):
+        store = self._store(tmp_path)
+        store.put("k0", "test", {"v": 10})
+        with ParallelRunner(_double_or_explode, workers=1) as runner:
+            outcomes = runner.map_cached(
+                [1, 2, -1], ["k0", "k1", "k2"], store, "test",
+                encode=lambda value: {"v": value},
+                decode=lambda doc: doc["v"])
+        assert [(o.index, o.ok, o.cached) for o in outcomes] == \
+            [(0, True, True), (1, True, False), (2, False, False)]
+        assert [o.value for o in outcomes[:2]] == [10, 4]
+        assert runner.stats.in_process_runs == 2
+        assert store.get("k1") == {"v": 4}
+        assert store.get("k2") is None  # failures are never cached
+
+    def test_in_process_fn_replaces_task_fn_in_process(self):
+        with ParallelRunner(echo_task, workers=1,
+                            in_process_fn=_double) as runner:
+            outcomes = runner.map_cached([3])
+        assert outcomes[0].value == 6 and outcomes[0].ran_in_process
+
+    def test_failure_keeps_the_original_exception(self):
+        with ParallelRunner(_explode, workers=1) as runner:
+            outcome, = runner.map_cached(["x"])
+        assert isinstance(outcome.exception, ValueError)
+
+    def test_replayed_coverage_folds_in_process_does_not(self, tmp_path):
+        store = self._store(tmp_path)
+        row = ["rdma.gbn", "gap-nak", 1, 5]
+        store.put("k0", "test", {"coverage": [row]})
+        session = observe.enable(metrics=False)
+        with ParallelRunner(echo_task, workers=1) as runner:
+            runner.map_cached([{"coverage": [row]}, {"coverage": [row]}],
+                              ["k0", "k1"], store, "test")
+        # The replayed unit folds here; the in-process one would have
+        # folded its own scope, so its carried copy is not folded again.
+        assert session.total_snapshot() == [row]
 
 
 class TestPoolPath:

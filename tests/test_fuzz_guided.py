@@ -5,14 +5,13 @@ Covers the feedback loop added on top of Algorithm 1 (FP4-style):
 * golden novelty-score values for fixed inputs,
 * the (score, config) pool pairing — including the regression where
   resumed and fresh campaigns must agree on which config owns which
-  score, and loading legacy v1 checkpoints that lack the pairing,
+  score,
 * the 1-indexed lower bound in ``clamp_events``,
 * checkpoints that keep coverage mode visible even at zero points,
 * first-hit admission, dominance minimization determinism, and
   finding-dedup stability across store replay.
 """
 
-import json
 import os
 
 import pytest
@@ -166,40 +165,6 @@ class TestPoolPairing:
         # owns which score, not just on the sorted score multiset.
         assert [(e.config, e.score, e.points) for e in resumed._pool] == \
             [(e.config, e.score, e.points) for e in fresh._pool]
-        assert encode_fuzz_report(report_a) == encode_fuzz_report(report_b)
-
-    def test_legacy_v1_checkpoint_without_pairing_still_resumes(
-            self, tmp_path, monkeypatch):
-        base = _base()
-        clean = LuminaFuzzer(base, seed=7, anomaly_threshold=2.5)
-        report_a = clean.run(iterations=6, batch_size=2,
-                             campaign_dir=str(tmp_path / "clean"))
-
-        monkeypatch.setenv("REPRO_CAMPAIGN_CRASH_AFTER_GEN", "1")
-        with pytest.raises(SystemExit):
-            LuminaFuzzer(base, seed=7, anomaly_threshold=2.5).run(
-                iterations=6, batch_size=2,
-                campaign_dir=str(tmp_path / "crash"))
-        monkeypatch.delenv("REPRO_CAMPAIGN_CRASH_AFTER_GEN")
-
-        # Rewrite the journal as a v1 process would have written it:
-        # configs plus a sorted score list, no pairing.
-        journal_path = os.path.join(str(tmp_path / "crash"),
-                                    "journal.jsonl")
-        records = CampaignJournal(journal_path).load()
-        with open(journal_path, "w", encoding="utf-8") as handle:
-            for record in records:
-                if record.get("type") == "generation":
-                    record["state"].pop("pool-entries", None)
-                handle.write(json.dumps(record, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-
-        resumed = LuminaFuzzer(base, seed=7, anomaly_threshold=2.5)
-        report_b = resumed.run(iterations=6, batch_size=2,
-                               campaign_dir=str(tmp_path / "crash"))
-        # Blind selection reads only the config order and the score
-        # multiset, both preserved by the positional fallback — the
-        # finished report is still byte-identical.
         assert encode_fuzz_report(report_a) == encode_fuzz_report(report_b)
 
 

@@ -358,10 +358,11 @@ def test_race001_observe_session_merges_flagged_outside_its_module():
 
 def test_race001_merge_at_declared_point_not_flagged():
     findings = analyze({
-        "repro/core/orchestrator.py": """
-            def run_test(cov, snapshots):
-                for snap in snapshots:
-                    cov.merge_snapshot(snap)
+        "repro/exec/runner.py": """
+            class ParallelRunner:
+                def map_cached(self, cov, snapshots):
+                    for snap in snapshots:
+                        cov.merge_snapshot(snap)
         """,
         "repro/coverage/map.py": """
             class CoverageMap:

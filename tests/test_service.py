@@ -34,6 +34,7 @@ from repro.service.dispatcher import (
     JobCancelled,
 )
 from repro.service.jobs import (
+    job_worker_main,
     read_result_document,
     result_document,
     write_result_document,
@@ -64,11 +65,9 @@ class TestDocumentEnvelope:
         assert version == DOCUMENT_SCHEMA_VERSION
         assert body == {"a": 1}
 
-    def test_legacy_document_warns(self):
-        with pytest.warns(DeprecationWarning):
-            version, body = unwrap_document({"a": 1})
-        assert version == 0
-        assert body == {"a": 1}
+    def test_legacy_document_rejected(self):
+        with pytest.raises(ValueError, match="unversioned"):
+            unwrap_document({"a": 1})
 
     def test_future_version_rejected(self):
         doc = {"schema-version": DOCUMENT_SCHEMA_VERSION + 1,
@@ -91,12 +90,9 @@ class TestJobSpec:
         spec = suite_spec(priority=3, workers=2, timeout_s=9.0)
         assert decode_jobspec(encode_jobspec(spec)) == spec
 
-    def test_legacy_spec_decodes_with_warning(self):
-        spec = suite_spec()
-        with pytest.warns(DeprecationWarning):
-            legacy = decode_jobspec({"job-kind": "suite",
-                                     "payload": SUITE_PAYLOAD})
-        assert legacy.fingerprint == spec.fingerprint
+    def test_legacy_spec_rejected(self):
+        with pytest.raises(ValueError, match="unversioned"):
+            decode_jobspec({"job-kind": "suite", "payload": SUITE_PAYLOAD})
 
     def test_fingerprint_ignores_execution_knobs(self):
         base = suite_spec()
@@ -339,6 +335,25 @@ class TestExecuteJobspec:
         report = api.run_fuzz_campaign(quick_config(num_msgs=2, seed=11),
                                        iterations=2, batch_size=2)
         assert report.iterations_run == 2
+
+    def test_job_process_fuzz_coverage_fitness_matches_local(self,
+                                                            tmp_path):
+        # A remote --coverage-fitness spec must run guided in the job
+        # process, exactly as the local CLI's coverage-only session.
+        from repro.__main__ import main
+
+        local_out = tmp_path / "local.txt"
+        assert main(["fuzz", "--target", "counter-bugs", "--nic", "e810",
+                     "-n", "4", "--batch", "2", "--coverage-fitness",
+                     "-o", str(local_out)]) in (0, 2)
+        spec = JobSpec.for_fuzz(target="counter-bugs", nic="e810",
+                                iterations=4, batch=2,
+                                coverage_fitness=True)
+        doc = job_worker_main(encode_jobspec(spec), str(tmp_path / "job"),
+                              None)
+        local = local_out.read_text()
+        assert "coverage growth:" in local
+        assert doc["body"]["report"] == local
 
     def test_facade_exports_service_names(self):
         import repro
