@@ -3,8 +3,8 @@
 Lumina's value comes from running *many* tests, and every
 ``run_test`` is an independent, seed-deterministic simulation — a
 perfect fan-out target. :class:`ParallelRunner` maps picklable task
-payloads over a ``spawn``-safe :class:`~concurrent.futures.\
-ProcessPoolExecutor` and hides the operational sharp edges:
+payloads over a :class:`~concurrent.futures.ProcessPoolExecutor` and
+hides the operational sharp edges:
 
 * ``workers=1`` (or an unavailable pool) degrades to in-process serial
   execution with identical semantics,
@@ -27,6 +27,13 @@ Determinism contract: the runner never reorders results (outcome ``i``
 always corresponds to payload ``i``) and injects no randomness, so any
 campaign whose tasks are themselves deterministic produces identical
 results for every value of ``workers``.
+
+Pool workers come from :func:`repro.exec.procs.context`: forks of a
+``forkserver`` that has preloaded the task modules (``spawn`` where the
+platform has no ``forkserver``). Tasks and payloads still cross the
+boundary by pickling, so the rules are ``spawn``'s: module-level task
+functions, plain picklable payloads, no state inherited from the
+parent. The first pool of a process pays the server's start.
 """
 
 from __future__ import annotations
@@ -36,11 +43,11 @@ import dataclasses
 import pickle
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import (TYPE_CHECKING, Any, Callable, List, Optional, Sequence,
                     Tuple)
 
 from .. import observe
+from . import procs
 from . import worker as worker_mod
 
 if TYPE_CHECKING:  # avoid a runtime exec -> store import cycle
@@ -145,7 +152,7 @@ class ParallelRunner:
     """Maps payloads through a task function on a process pool.
 
     ``task_fn`` must be a module-level callable (pickled by reference
-    into ``spawn``-ed workers) taking one picklable payload and
+    into the workers) taking one picklable payload and
     returning one picklable value. ``in_process_fn`` (default
     ``task_fn``) replaces it wherever a payload runs in this process —
     ``workers=1``, a platform without pools, the crash fallback — and
@@ -153,7 +160,6 @@ class ParallelRunner:
     """
 
     def __init__(self, task_fn: Callable[[Any], Any], workers: int = 1,
-                 mp_context: str = "spawn",
                  task_timeout_s: Optional[float] = None,
                  max_retries: int = 2,
                  in_process_fn: Optional[Callable[[Any], Any]] = None):
@@ -173,7 +179,6 @@ class ParallelRunner:
         self.task_timeout_s = task_timeout_s
         self.max_retries = max(1, max_retries)
         self.stats = RunnerStats()
-        self._mp_context = mp_context
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._pool_dead = False
         self._pool_breaks = 0
@@ -190,13 +195,13 @@ class ParallelRunner:
         try:
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=get_context(self._mp_context),
+                mp_context=procs.context(),
                 initializer=worker_mod.init_worker,
             )
             self.stats.pools_created += 1
         except Exception:
             # The platform cannot give us a pool (no semaphores, no
-            # spawn support, ...): run the whole campaign in-process.
+            # process server, ...): run the whole campaign in-process.
             self._pool_dead = True
             self._pool = None
         return self._pool
@@ -212,8 +217,8 @@ class ParallelRunner:
             pass
         # shutdown() leaves workers running their current task; a
         # wedged task would otherwise stall interpreter exit.
-        procs = getattr(pool, "_processes", None) or {}
-        for proc in list(procs.values()):
+        live = getattr(pool, "_processes", None) or {}
+        for proc in list(live.values()):
             try:
                 proc.terminate()
             except Exception:

@@ -1,10 +1,13 @@
 """Worker-side shim for the parallel campaign runner.
 
-Everything here must be importable by a freshly ``spawn``-ed process:
-the :class:`~repro.exec.runner.ParallelRunner` submits
-``invoke(task_fn, payload, metrics)`` to the pool, and the child
-pickles ``task_fn`` *by reference* — so task functions must be plain
-module-level callables (see :mod:`repro.exec.tasks`).
+Pool workers are forks of the preloaded process server
+(:func:`repro.exec.procs.context`; ``spawn``-ed interpreters where the
+platform has no ``forkserver``), and this module is among the ones the
+server imports up front. The :class:`~repro.exec.runner.ParallelRunner`
+submits ``invoke(task_fn, payload, metrics)`` to the pool, and the
+child unpickles ``task_fn`` *by reference* — so task functions must be
+plain module-level callables (see :mod:`repro.exec.tasks`), and a
+worker never sees state the parent built in memory.
 
 When the parent is observed, each invocation runs under a private,
 worker-local observation session with the parent's facets. Coverage

@@ -4,17 +4,22 @@ Modeled on FlockLab2's ``flocklab_dispatcher``: one background thread
 claims the highest-priority queued job, gives it a private job
 directory, and executes it through a pluggable *executor*:
 
-* :class:`ProcessJobExecutor` (production) spawns an isolated job
-  process on :func:`~repro.service.jobs.job_worker_main` — ``spawn``
-  start method, same rationale as :class:`~repro.exec.ParallelRunner` —
-  and supervises it: a set cancel event or an elapsed per-job timeout
-  terminates the process. Fuzz jobs journal per-generation state into
-  their job directory, so a terminated fuzz job resubmitted later
-  resumes mid-campaign.
+* :class:`ProcessJobExecutor` (production) starts an isolated job
+  process on :func:`~repro.service.jobs.job_worker_main` and supervises
+  it: a set cancel event or an elapsed per-job timeout terminates the
+  process. Job processes come from :func:`repro.exec.procs.context`,
+  the same factory as :class:`~repro.exec.ParallelRunner`'s pool
+  workers: forks of a ``forkserver`` that has already imported the job
+  modules (``spawn`` where the platform has no ``forkserver``). The
+  server starts lazily, so the first cold job after a daemon starts
+  pays its start-up, and it freezes the environment at that moment —
+  a variable set in the daemon later does not reach job processes.
+  Fuzz jobs journal per-generation state into their job directory, so
+  a terminated fuzz job resubmitted later resumes mid-campaign.
 * :class:`InlineJobExecutor` runs the job in the dispatcher thread —
   no isolation, but instant; used by tests and tiny deployments.
 
-Before spawning anything the dispatcher probes the service store for
+Before starting anything the dispatcher probes the service store for
 the spec's fingerprint: a finished spec resubmitted (even across daemon
 restarts) replays its result document byte-for-byte with **zero**
 worker processes. The store handle is opened fresh for every probe and
@@ -29,7 +34,8 @@ import threading
 import time
 from typing import Dict, Optional
 
-from .jobs import read_result_document, write_result_document
+from .jobs import (job_worker_main, read_result_document,
+                   write_result_document)
 from .jobspec import encode_jobspec
 from .queue import Job, JobQueue, JobState
 
@@ -54,19 +60,39 @@ class InlineJobExecutor:
 
     def execute(self, job: Job, job_dir: str, store_root: Optional[str],
                 campaign_dir: Optional[str] = None) -> Dict:
-        from .jobs import job_worker_main
-
         return job_worker_main(encode_jobspec(job.spec), job_dir,
                                store_root, campaign_dir)
 
 
+def _job_process_main(spec_doc: Dict, job_dir: str,
+                      store_root: Optional[str],
+                      campaign_dir: Optional[str]) -> None:
+    """Entry point of a job process.
+
+    A job may fan out over its own pool, so the process clears the
+    daemonic flag it was started with (daemonic processes may not start
+    children) and leads its own process group. A SIGTERM — the
+    executor's cancel or timeout, or the parent's exit-time cleanup of
+    daemonic children — kills the whole group, so no pool worker or
+    nested process server outlives its job.
+    """
+    import multiprocessing
+    import signal
+
+    multiprocessing.current_process().daemon = False
+    if hasattr(os, "setpgrp"):
+        os.setpgrp()
+        signal.signal(signal.SIGTERM,
+                      lambda signum, frame: os.killpg(0, signal.SIGKILL))
+    job_worker_main(spec_doc, job_dir, store_root, campaign_dir)
+
+
 class ProcessJobExecutor:
-    """Run each job in a fresh spawned process, supervised.
+    """Run each job in a fresh, supervised job process.
 
     ``poll_interval_s`` bounds cancel/timeout reaction latency. The
-    child is a plain :mod:`multiprocessing` Process on the module-level
-    :func:`~repro.service.jobs.job_worker_main`, so everything it needs
-    travels as picklable JSON + paths.
+    child runs the module-level :func:`_job_process_main`, so
+    everything it needs travels as picklable JSON + paths.
     """
 
     def __init__(self, poll_interval_s: float = 0.1):
@@ -74,13 +100,13 @@ class ProcessJobExecutor:
 
     def execute(self, job: Job, job_dir: str, store_root: Optional[str],
                 campaign_dir: Optional[str] = None) -> Dict:
-        import multiprocessing as mp
+        # Imported here, not at module level: the process machinery
+        # stays out of daemon start-up and out of importers that never
+        # run a job process.
+        from ..exec import procs
 
-        from .jobs import job_worker_main
-
-        ctx = mp.get_context("spawn")
-        process = ctx.Process(
-            target=job_worker_main,
+        process = procs.context().Process(
+            target=_job_process_main,
             args=(encode_jobspec(job.spec), job_dir, store_root,
                   campaign_dir),
             daemon=True)

@@ -8,8 +8,9 @@ to the historical one-shot CLI commands. ``python -m repro suite``,
 function, which is what makes service results byte-identical to local
 ones.
 
-:func:`job_worker_main` is the module-level entry point the dispatcher
-spawns as an isolated job process (picklable by reference, like
+:func:`job_worker_main` is what every job executor runs — in the
+dispatcher thread, or inside an isolated job process started from the
+preloaded process server (arguments picklable by reference, like
 :mod:`repro.exec.tasks`): it opens the shared campaign store, observes
 the job when the spec needs it, executes, and atomically persists
 ``result.json`` into the job directory.
@@ -240,7 +241,7 @@ def read_result_document(job_dir: str) -> Optional[Dict]:
 
 
 # ---------------------------------------------------------------------------
-# The spawned job process
+# The job process body
 # ---------------------------------------------------------------------------
 
 def job_worker_main(spec_doc: Dict, job_dir: str,
@@ -248,8 +249,8 @@ def job_worker_main(spec_doc: Dict, job_dir: str,
                     campaign_dir: Optional[str] = None) -> Dict:
     """Run one job to completion inside the current process.
 
-    The dispatcher's process executor spawns this as the child's
-    target; the inline executor calls it directly. Either way the
+    The dispatcher's process executor runs this inside a fresh job
+    process; the inline executor calls it directly. Either way the
     result document lands atomically in ``job_dir/result.json`` (and is
     returned, for in-process callers). A spec that asks to be observed
     runs under an observation session that exports into
