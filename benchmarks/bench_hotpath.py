@@ -150,7 +150,7 @@ def bench_engine(n_events: int = 200_000, repeats: int = 3) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Section 4: end to end — the bench_parallel_scaling workload
+# Section 4: end to end — one e810 WRITE run, 2 QPs x 10 x 100 KiB
 # ----------------------------------------------------------------------
 def bench_e2e(repeats: int = 3) -> dict:
     config = quick_config(nic="e810", verb="write", num_msgs=10,

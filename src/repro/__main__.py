@@ -74,6 +74,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import List, Optional
 
 from .core.config import TestConfig
@@ -123,16 +124,6 @@ def _load_config(path: str, seed: Optional[int] = None) -> TestConfig:
     return TestConfig.from_dict(data)
 
 
-def _campaign_store(args: argparse.Namespace):
-    """The --campaign store for this invocation, or None."""
-    campaign = getattr(args, "campaign", None)
-    if not campaign:
-        return None
-    from .store import CampaignStore
-
-    return CampaignStore(os.path.join(campaign, "store"))
-
-
 def _emit_report(report: str, output: Optional[str]) -> None:
     """Print a report and, with --output, persist it byte-for-byte."""
     print(report, end="" if report.endswith("\n") else "\n")
@@ -142,67 +133,87 @@ def _emit_report(report: str, output: Optional[str]) -> None:
         print(f"report written to {output}")
 
 
-def _session_flags(args: argparse.Namespace) -> dict:
-    """JobSpec session kwargs for a --server submission.
+def _spec_opts(args: argparse.Namespace) -> dict:
+    """The JobSpec keywords every campaign command takes from its flags.
 
-    Local invocations leave this off — ``main()`` drives the session
-    in-process — so a plain local command and a plain remote one build
-    the identical, fingerprint-equal spec. Remote jobs instead carry
-    the request in the payload and the job process exports into its job
-    directory on the daemon side.
+    ``observe`` is set only for a --server submission. Locally
+    ``main()`` drives the session in-process, so a plain local command
+    and a plain remote one build the identical, fingerprint-equal spec;
+    a remote job carries the request in its payload and exports into
+    its job directory on the daemon side.
     """
-    if not getattr(args, "server", None):
-        return {}
-    return {"observe": bool(args.observe)}
+    opts = {"faults": args.measurement_faults, "workers": args.workers,
+            "priority": args.priority}
+    if args.server:
+        opts["observe"] = bool(args.observe)
+    return opts
+
+
+def _client(args: argparse.Namespace):
+    from .service import Client
+
+    return Client(args.server)
 
 
 def _run_remote(args: argparse.Namespace, spec) -> int:
     """Submit a spec to ``--server``, wait, and emit the fetched report."""
-    if getattr(args, "campaign", None):
+    if args.campaign:
         print("error: --campaign is local-only; the service keeps its "
               "own store (see `repro serve`)", file=sys.stderr)
         return 2
-    from .service import Client, ServiceError
-
-    client = Client(args.server)
-    try:
-        job = client.submit(spec)
-        print(f"submitted {job['id']} "
-              f"(fingerprint {job['fingerprint'][:12]}) to {args.server}")
-        final = client.wait(job["id"])
-        if final["state"] != "done":
-            print(f"error: job {job['id']} {final['state']}: "
-                  f"{final.get('error')}", file=sys.stderr)
-            return 1
-        if final.get("replayed"):
-            print("result replayed from service store")
-        body = client.results(job["id"])
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    client = _client(args)
+    job = client.submit(spec)
+    print(f"submitted {job['id']} "
+          f"(fingerprint {job['fingerprint'][:12]}) to {args.server}")
+    final = client.wait(job["id"])
+    if final["state"] != "done":
+        print(f"error: job {job['id']} {final['state']}: "
+              f"{final.get('error')}", file=sys.stderr)
+        return 1
+    if final.get("replayed"):
+        print("result replayed from service store")
+    body = client.results(job["id"])
     _emit_report(body["report"], args.output)
     return int(body["exit-code"])
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    from .service import JobSpec, execute_jobspec
-
-    config = _load_config(args.config, args.seed)
-    spec = JobSpec.for_run(config, faults=args.measurement_faults,
-                           workers=args.workers, priority=args.priority,
-                           **_session_flags(args))
+def _execute(args: argparse.Namespace, spec) -> int:
+    """The one tail of ``run``, ``fuzz``, ``suite`` and ``sweep``: submit
+    to ``--server``, or execute against the ``--campaign`` store and
+    print notes, report, a sweep's wall-clock rate and store stats."""
     if args.server:
         return _run_remote(args, spec)
-    store = _campaign_store(args)
-    outcome = execute_jobspec(spec, store=store)
+    from .service import execute_jobspec
+    from .store import CampaignStore
+
+    store = (CampaignStore(os.path.join(args.campaign, "store"))
+             if args.campaign else None)
+    started = time.perf_counter()
+    outcome = execute_jobspec(spec, store=store, campaign_dir=args.campaign)
+    elapsed = time.perf_counter() - started
+    for note in outcome.notes:
+        print(note)
     _emit_report(outcome.report, args.output)
+    if spec.kind == "sweep":
+        stats = outcome.stats
+        rate = stats["executed"] / elapsed if elapsed > 0 else 0.0
+        print(f"{stats['executed']} of {stats['total']} runs executed in "
+              f"{elapsed:.2f}s ({rate:.2f} runs/s, workers={args.workers}, "
+              f"crashes={stats['crashes']})")
     if store is not None:
         print(store.stats())
     return outcome.exit_code
 
 
+def cmd_run(args: argparse.Namespace) -> int:
+    from .service import JobSpec
+
+    config = _load_config(args.config, args.seed)
+    return _execute(args, JobSpec.for_run(config, **_spec_opts(args)))
+
+
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from .service import JobSpec, execute_jobspec
+    from .service import JobSpec
 
     if not args.target and not args.config:
         print("error: provide a config file or --target", file=sys.stderr)
@@ -210,78 +221,32 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     config = None
     if not args.target:
         config = _load_config(args.config, args.seed)
-    spec = JobSpec.for_fuzz(config=config, target=args.target,
-                            nic=args.nic, seed=args.seed,
-                            iterations=args.iterations, batch=args.batch,
-                            threshold=args.threshold,
-                            stop_on_first=args.stop_on_first,
-                            coverage_fitness=args.coverage_fitness,
-                            faults=args.measurement_faults,
-                            workers=args.workers, priority=args.priority,
-                            **_session_flags(args))
-    if args.server:
-        return _run_remote(args, spec)
-    store = _campaign_store(args)
-    outcome = execute_jobspec(spec, store=store,
-                              campaign_dir=args.campaign)
-    for note in outcome.notes:
-        print(note)
-    _emit_report(outcome.report, args.output)
-    if store is not None:
-        print(store.stats())
-    return outcome.exit_code
+    return _execute(args, JobSpec.for_fuzz(
+        config=config, target=args.target, nic=args.nic, seed=args.seed,
+        iterations=args.iterations, batch=args.batch,
+        threshold=args.threshold, stop_on_first=args.stop_on_first,
+        coverage_fitness=args.coverage_fitness, **_spec_opts(args)))
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    from .service import JobSpec, execute_jobspec
+    from .service import JobSpec
 
-    spec = JobSpec.for_suite(args.nic, seed=args.seed,
-                             checks=args.checks or None,
-                             faults=args.measurement_faults,
-                             workers=args.workers, priority=args.priority,
-                             **_session_flags(args))
-    if args.server:
-        return _run_remote(args, spec)
-    store = _campaign_store(args)
-    outcome = execute_jobspec(spec, store=store)
-    _emit_report(outcome.report, args.output)
-    if store is not None:
-        print(store.stats())
-    return outcome.exit_code
+    return _execute(args, JobSpec.for_suite(
+        args.nic, seed=args.seed, checks=args.checks or None,
+        **_spec_opts(args)))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    import time
-
-    from .service import JobSpec, execute_jobspec
+    from .service import JobSpec
 
     base_seed = args.seed if args.seed is not None else args.base_seed
     nics = [n.strip() for n in args.nics.split(",") if n.strip()]
     config = _load_config(args.config) if args.config else None
-    spec = JobSpec.for_sweep(nics=nics, seeds=args.seeds,
-                             base_seed=base_seed, config=config,
-                             verb=args.verb,
-                             connections=args.connections,
-                             messages=args.messages, size=args.size,
-                             faults=args.measurement_faults,
-                             timeout=args.timeout, workers=args.workers,
-                             priority=args.priority,
-                             **_session_flags(args))
-    if args.server:
-        return _run_remote(args, spec)
-    store = _campaign_store(args)
-    started = time.perf_counter()
-    outcome = execute_jobspec(spec, store=store)
-    elapsed = time.perf_counter() - started
-    _emit_report(outcome.report, args.output)
-    stats = outcome.stats
-    rate = stats["executed"] / elapsed if elapsed > 0 else 0.0
-    print(f"{stats['executed']} of {stats['total']} runs executed in "
-          f"{elapsed:.2f}s ({rate:.2f} runs/s, workers={args.workers}, "
-          f"crashes={stats['crashes']})")
-    if store is not None:
-        print(store.stats())
-    return outcome.exit_code
+    return _execute(args, JobSpec.for_sweep(
+        nics=nics, seeds=args.seeds, base_seed=base_seed, config=config,
+        verb=args.verb, connections=args.connections,
+        messages=args.messages, size=args.size, timeout=args.timeout,
+        **_spec_opts(args)))
 
 
 def cmd_incast(args: argparse.Namespace) -> int:
@@ -317,15 +282,6 @@ def cmd_incast(args: argparse.Namespace) -> int:
     return 0
 
 
-def _client_or_error(args: argparse.Namespace):
-    if not getattr(args, "server", None):
-        print("error: this command needs --server URL", file=sys.stderr)
-        return None
-    from .service import Client
-
-    return Client(args.server)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from .service import CampaignDaemon
 
@@ -341,11 +297,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    from .service import ServiceError, decode_jobspec
+    from .service import decode_jobspec
 
-    client = _client_or_error(args)
-    if client is None:
-        return 2
     with open(args.spec) as handle:
         doc = json.load(handle)
     try:
@@ -357,39 +310,28 @@ def cmd_submit(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         spec = replace(spec, priority=args.priority)
-    try:
-        job = client.submit(spec)
-        print(f"{job['id']} {job['state']} "
-              f"(fingerprint {job['fingerprint'][:12]})")
-        if not args.wait:
-            return 0
-        final = client.wait(job["id"])
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    client = _client(args)
+    job = client.submit(spec)
+    print(f"{job['id']} {job['state']} "
+          f"(fingerprint {job['fingerprint'][:12]})")
+    if not args.wait:
+        return 0
+    final = client.wait(job["id"])
     print(f"{final['id']} {final['state']}"
           + (f": {final['error']}" if final.get("error") else ""))
     return (int(final["exit-code"]) if final["state"] == "done" else 1)
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    client = _client_or_error(args)
-    if client is None:
-        return 2
-    try:
-        if args.job:
-            rows = [client.status(args.job)]
-            if args.progress:
-                progress = client.progress(args.job)
-                extras = {k: v for k, v in sorted(progress.items())
-                          if k not in ("id", "state", "job-kind")}
-        else:
-            rows = client.jobs()
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    client = _client(args)
+    if args.job:
+        rows = [client.status(args.job)]
+        if args.progress:
+            progress = client.progress(args.job)
+            extras = {k: v for k, v in sorted(progress.items())
+                      if k not in ("id", "state", "job-kind")}
+    else:
+        rows = client.jobs()
     print(f"{'id':<12s}{'kind':<7s}{'state':<11s}{'exit':>5s}  notes")
     for row in rows:
         exit_code = row.get("exit-code")
@@ -408,40 +350,23 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def cmd_results(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    client = _client_or_error(args)
-    if client is None:
-        return 2
-    try:
-        if args.json:
-            raw = client.results_bytes(args.job)
-            if args.output:
-                with open(args.output, "wb") as handle:
-                    handle.write(raw)
-                print(f"result document written to {args.output}")
-            else:
-                sys.stdout.write(raw.decode("utf-8") + "\n")
-            return 0
-        body = client.results(args.job)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    client = _client(args)
+    if args.json:
+        raw = client.results_bytes(args.job)
+        if args.output:
+            with open(args.output, "wb") as handle:
+                handle.write(raw)
+            print(f"result document written to {args.output}")
+        else:
+            sys.stdout.write(raw.decode("utf-8") + "\n")
+        return 0
+    body = client.results(args.job)
     _emit_report(body["report"], args.output)
     return int(body["exit-code"])
 
 
 def cmd_cancel(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    client = _client_or_error(args)
-    if client is None:
-        return 2
-    try:
-        outcome = client.cancel(args.job)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcome = _client(args).cancel(args.job)
     print(f"{args.job}: {outcome}")
     return 0 if outcome in ("cancelled", "cancelling") else 1
 
@@ -656,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--wait", action="store_true",
                           help="block until the job finishes and exit "
                                "with its exit code")
-    submit_p.set_defaults(func=cmd_submit)
+    submit_p.set_defaults(func=cmd_submit, needs_server=True)
 
     status_p = sub.add_parser(
         "status", parents=[common],
@@ -666,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     status_p.add_argument("--progress", action="store_true",
                           help="also show incremental progress (fuzz "
                                "generations, coverage points)")
-    status_p.set_defaults(func=cmd_status)
+    status_p.set_defaults(func=cmd_status, needs_server=True)
 
     results_p = sub.add_parser(
         "results", parents=[common],
@@ -675,13 +600,13 @@ def build_parser() -> argparse.ArgumentParser:
     results_p.add_argument("--json", action="store_true",
                            help="emit the raw versioned result document "
                                 "instead of the report text")
-    results_p.set_defaults(func=cmd_results)
+    results_p.set_defaults(func=cmd_results, needs_server=True)
 
     cancel_p = sub.add_parser(
         "cancel", parents=[common],
         help="cancel a queued or running job on a campaign service")
     cancel_p.add_argument("job", help="job id")
-    cancel_p.set_defaults(func=cmd_cancel)
+    cancel_p.set_defaults(func=cmd_cancel, needs_server=True)
 
     nics_p = sub.add_parser("nics", help="list NIC behaviour profiles")
     nics_p.set_defaults(func=cmd_nics)
@@ -715,6 +640,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _call_service(args: argparse.Namespace) -> int:
+    """Run a ``--server`` command; a refused or unreachable daemon is
+    reported once here, as exit 2."""
+    from .service import ServiceError
+
+    try:
+        return args.func(args)
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # ``lint`` owns its whole argument tail (argparse.REMAINDER cannot
@@ -726,7 +663,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "server", None):
         # Remote execution observes in the daemon's job process instead.
-        return args.func(args)
+        return _call_service(args)
+    if getattr(args, "needs_server", False):
+        print("error: this command needs --server URL", file=sys.stderr)
+        return 2
     from . import observe
 
     out_dir = getattr(args, "observe", None)

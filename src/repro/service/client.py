@@ -18,11 +18,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..store.serialize import unwrap_document
 from .jobspec import JobSpec, encode_jobspec
+from .queue import JobState
 
 __all__ = ["Client", "ServiceError"]
-
-#: Job states the daemon will never leave again.
-_TERMINAL = {"done", "failed", "cancelled"}
 
 
 class ServiceError(Exception):
@@ -90,8 +88,10 @@ class Client:
         return self._json("POST", "/api/v1/jobs", body=encode_jobspec(spec),
                           kind="job-status")
 
-    def status(self, job_id: str) -> Dict:
-        return self._json("GET", f"/api/v1/jobs/{job_id}",
+    def status(self, job_id: str, wait_s: float = 0.0) -> Dict:
+        """The status body, held up to ``wait_s`` until terminal."""
+        query = f"?wait={wait_s:.3f}" if wait_s > 0 else ""
+        return self._json("GET", f"/api/v1/jobs/{job_id}{query}",
                           kind="job-status")
 
     def jobs(self) -> List[Dict]:
@@ -123,20 +123,25 @@ class Client:
         return self._json("GET", "/api/v1/health", kind="service-health")
 
     def wait(self, job_id: str, timeout_s: Optional[float] = None,
-             poll_interval_s: float = 0.2) -> Dict:
+             poll_interval_s: Optional[float] = None) -> Dict:
         """Block until the job reaches a terminal state.
 
-        Returns the final status body; raises :class:`ServiceError`
-        when ``timeout_s`` elapses first.
+        Re-issues a long-poll :meth:`status`, which the daemon answers
+        the moment the job finishes. Returns the final status body;
+        raises :class:`ServiceError` when ``timeout_s`` elapses first.
+        ``poll_interval_s`` has no effect; existing callers pass it.
         """
         deadline = (time.monotonic() + timeout_s
                     if timeout_s is not None else None)
         while True:
-            body = self.status(job_id)
-            if body["state"] in _TERMINAL:
+            # Half the socket timeout: a held reply never times out.
+            wait_s = self.timeout_s / 2
+            if deadline is not None:
+                wait_s = min(wait_s, deadline - time.monotonic())
+            body = self.status(job_id, wait_s=wait_s)
+            if JobState(body["state"]).terminal:
                 return body
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise ServiceError(
                     f"job {job_id} still {body['state']} after "
                     f"{timeout_s:g}s")
-            time.sleep(poll_interval_s)

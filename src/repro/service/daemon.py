@@ -25,7 +25,7 @@ from typing import Dict, Optional
 from ..coverage.report import COVERAGE_FILE
 from .dispatcher import Dispatcher
 from .jobs import OBSERVE_DIR
-from .queue import Job, JobQueue
+from .queue import Job, JobQueue, JobState
 from .retention import RetentionDaemon
 
 __all__ = ["CampaignDaemon"]
@@ -97,8 +97,7 @@ class CampaignDaemon:
         """Start and block until interrupted (the ``serve`` command)."""
         self.start()
         try:
-            while True:
-                threading.Event().wait(3600)
+            threading.Event().wait()
         except KeyboardInterrupt:
             pass
         finally:
@@ -127,10 +126,11 @@ class CampaignDaemon:
 
     def health_body(self) -> Dict:
         store = self._open_store()
+        counts = self.queue.counts()
         return {
             "state-dir": self.state_dir,
-            "jobs": self.queue.counts(),
-            "queue-depth": self.queue.depth(),
+            "jobs": counts,
+            "queue-depth": counts[JobState.QUEUED.value],
             "dispatcher": dict(self.dispatcher.counters),
             "retention": dict(self.retention.counters),
             "store-entries": len(store),

@@ -6,11 +6,13 @@ directory, and executes it through a pluggable *executor*:
 
 * :class:`ProcessJobExecutor` (production) starts an isolated job
   process on :func:`~repro.service.jobs.job_worker_main` and supervises
-  it: a set cancel event or an elapsed per-job timeout terminates the
-  process. Job processes come from :func:`repro.exec.procs.context`,
-  the same factory as :class:`~repro.exec.ParallelRunner`'s pool
-  workers: forks of a ``forkserver`` that has already imported the job
-  modules (``spawn`` where the platform has no ``forkserver``). The
+  it by blocking on the process's sentinel: the job's exit wakes it at
+  once, and a set cancel event or an elapsed per-job timeout
+  terminates the process. Job processes come from
+  :func:`repro.exec.procs.context`, the same factory as
+  :class:`~repro.exec.ParallelRunner`'s pool workers: forks of a
+  ``forkserver`` that has already imported the job modules (``spawn``
+  where the platform has no ``forkserver``). The
   server starts lazily, so the first cold job after a daemon starts
   pays its start-up, and it freezes the environment at that moment —
   a variable set in the daemon later does not reach job processes.
@@ -29,6 +31,7 @@ parent handle would hold a stale index snapshot.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -41,6 +44,9 @@ from .queue import Job, JobQueue, JobState
 
 __all__ = ["Dispatcher", "InlineJobExecutor", "ProcessJobExecutor",
            "JobCancelled", "JobFailed", "JobTimeout"]
+
+#: How often a running job's cancel event is checked, in seconds.
+CANCEL_CHECK_S = 0.1
 
 
 class JobFailed(Exception):
@@ -90,19 +96,20 @@ def _job_process_main(spec_doc: Dict, job_dir: str,
 class ProcessJobExecutor:
     """Run each job in a fresh, supervised job process.
 
-    ``poll_interval_s`` bounds cancel/timeout reaction latency. The
-    child runs the module-level :func:`_job_process_main`, so
-    everything it needs travels as picklable JSON + paths.
+    The executor blocks on the child's sentinel, so the job's exit
+    wakes it at once and a per-job ``timeout_s`` is exact; the cancel
+    event is checked every :data:`CANCEL_CHECK_S`. The child runs the
+    module-level :func:`_job_process_main`, so everything it needs
+    travels as picklable JSON + paths.
     """
-
-    def __init__(self, poll_interval_s: float = 0.1):
-        self.poll_interval_s = poll_interval_s
 
     def execute(self, job: Job, job_dir: str, store_root: Optional[str],
                 campaign_dir: Optional[str] = None) -> Dict:
         # Imported here, not at module level: the process machinery
         # stays out of daemon start-up and out of importers that never
         # run a job process.
+        from multiprocessing.connection import wait
+
         from ..exec import procs
 
         process = procs.context().Process(
@@ -110,24 +117,21 @@ class ProcessJobExecutor:
             args=(encode_jobspec(job.spec), job_dir, store_root,
                   campaign_dir),
             daemon=True)
-        deadline = (time.monotonic() + job.spec.timeout_s
-                    if job.spec.timeout_s else None)
+        deadline = time.monotonic() + (job.spec.timeout_s or math.inf)
         process.start()
         try:
-            while True:
-                process.join(self.poll_interval_s)
-                if not process.is_alive():
-                    break
+            while not wait([process.sentinel], max(0.0, min(
+                    CANCEL_CHECK_S, deadline - time.monotonic()))):
                 if job.cancel_event.is_set():
                     raise JobCancelled(f"{job.id} cancelled while running")
-                if deadline is not None and time.monotonic() > deadline:
+                if time.monotonic() >= deadline:
                     raise JobTimeout(
                         f"{job.id} exceeded timeout of "
                         f"{job.spec.timeout_s:g}s")
         finally:
             if process.is_alive():
                 process.terminate()
-                process.join(5.0)
+            process.join(5.0)
         if process.exitcode != 0:
             raise JobFailed(f"{job.id} job process exited with code "
                             f"{process.exitcode}")
@@ -139,11 +143,16 @@ class ProcessJobExecutor:
 
 
 class Dispatcher:
-    """Background thread turning queued jobs into result documents."""
+    """Background thread turning queued jobs into result documents.
+
+    The thread blocks in :meth:`JobQueue.claim_next` until a job is
+    queued or :meth:`stop` wakes it; :attr:`busy` and :meth:`wait_idle`
+    read the queue itself under its lock, so there is no second flag to
+    fall out of step with a claimed job.
+    """
 
     def __init__(self, queue: JobQueue, jobs_root: str,
                  store_root: Optional[str] = None, executor=None,
-                 claim_timeout_s: float = 0.2,
                  campaigns_root: Optional[str] = None):
         self.queue = queue
         self.jobs_root = jobs_root
@@ -156,15 +165,12 @@ class Dispatcher:
                               or ".", "campaigns")
         self.executor = executor if executor is not None \
             else ProcessJobExecutor()
-        self.claim_timeout_s = claim_timeout_s
         #: Small operational counters, surfaced by /api/v1/health.
         self.counters: Dict[str, int] = {
             "dispatched": 0, "replayed": 0, "done": 0,
             "failed": 0, "cancelled": 0, "timeouts": 0,
         }
         self._stop = threading.Event()
-        self._idle = threading.Event()
-        self._idle.set()
         self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle ------------------------------------------------------
@@ -177,40 +183,33 @@ class Dispatcher:
         self._thread.start()
 
     def stop(self, timeout_s: float = 10.0) -> None:
+        """Stop claiming; the queue stays open for submissions."""
         self._stop.set()
+        self.queue.wake()
         if self._thread is not None:
             self._thread.join(timeout_s)
             self._thread = None
 
     @property
     def busy(self) -> bool:
-        """True while a job is executing (retention passes wait)."""
-        return not self._idle.is_set()
+        """True while a job is RUNNING (retention passes wait)."""
+        return self.queue.counts()[JobState.RUNNING.value] > 0
 
     def wait_idle(self, timeout_s: float = 30.0) -> bool:
         """Block until the queue is drained and no job is running."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.queue.depth() == 0 and not self.busy:
-                return True
-            time.sleep(0.02)
-        return False
+        return self.queue.wait_idle(timeout_s)
 
     # -- the loop -------------------------------------------------------
     def _loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.queue.claim_next(timeout_s=self.claim_timeout_s)
+        while True:
+            job = self.queue.claim_next(until=self._stop)
             if job is None:
-                continue
+                return
             if self._stop.is_set():
                 # Shutting down: hand the claim back for the next boot.
                 self.queue.requeue(job.id)
-                break
-            self._idle.clear()
-            try:
-                self._run_job(job)
-            finally:
-                self._idle.set()
+                return
+            self._run_job(job)
 
     def job_dir(self, job_id: str) -> str:
         return os.path.join(self.jobs_root, job_id)

@@ -90,7 +90,10 @@ class JobQueue:
     """Priority queue + job table, journaled to ``<root>/queue.jsonl``.
 
     Thread-safe: the HTTP handler threads submit/cancel/inspect while
-    the dispatcher thread claims and finishes jobs.
+    the dispatcher thread claims and finishes jobs. Every state change
+    notifies one Condition, and every wait in the service blocks on it:
+    the dispatcher's claim, :meth:`wait_idle`, and the HTTP long-poll
+    in :meth:`wait_terminal`.
     """
 
     def __init__(self, root: str):
@@ -158,7 +161,7 @@ class JobQueue:
                                   "fingerprint": job.fingerprint,
                                   "spec": encode_jobspec(spec)})
             heapq.heappush(self._heap, (-job.priority, seq, job.id))
-            self._ready.notify()
+            self._ready.notify_all()
             return job
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -177,12 +180,6 @@ class JobQueue:
                 counts[job.state.value] += 1
             return counts
 
-    def depth(self) -> int:
-        """Number of jobs currently waiting."""
-        with self._lock:
-            return sum(1 for j in self._jobs.values()
-                       if j.state is JobState.QUEUED)
-
     def position(self, job_id: str) -> Optional[int]:
         """0-based dispatch position of a queued job, else None."""
         with self._lock:
@@ -195,21 +192,43 @@ class JobQueue:
             return len(ahead)
 
     # -- dispatch -------------------------------------------------------
-    def claim_next(self, timeout_s: Optional[float] = None) -> Optional[Job]:
+    def claim_next(self, until: Optional[threading.Event] = None
+                   ) -> Optional[Job]:
         """Pop the highest-priority queued job and mark it RUNNING.
 
-        Blocks up to ``timeout_s`` for work; returns None on timeout.
+        Returns None when nothing is queued; given ``until``, blocks
+        instead until a job is queued or ``until`` is set and
+        :meth:`wake` called.
         """
         with self._ready:
             job = self._pop_ready()
-            if job is None and timeout_s:
-                self._ready.wait(timeout_s)
+            while job is None and until is not None and not until.is_set():
+                self._ready.wait()
                 job = self._pop_ready()
             if job is None:
                 return None
             job.state = JobState.RUNNING
             self._journal_state(job)
+            self._ready.notify_all()
             return job
+
+    def wake(self) -> None:
+        """Wake every waiter to re-check its condition."""
+        with self._ready:
+            self._ready.notify_all()
+
+    def wait_idle(self, timeout_s: Optional[float] = None) -> bool:
+        """Block until no job is QUEUED or RUNNING; False on timeout."""
+        with self._ready:
+            return self._ready.wait_for(lambda: not any(
+                job.state in (JobState.QUEUED, JobState.RUNNING)
+                for job in self._jobs.values()), timeout_s)
+
+    def wait_terminal(self, job: Job, timeout_s: float) -> bool:
+        """Block until ``job`` is terminal; False on timeout."""
+        with self._ready:
+            return self._ready.wait_for(lambda: job.state.terminal,
+                                        timeout_s)
 
     def _pop_ready(self) -> Optional[Job]:
         while self._heap:
@@ -235,6 +254,7 @@ class JobQueue:
             job.error = error
             job.replayed = replayed
             self._journal_state(job)
+            self._ready.notify_all()
 
     def requeue(self, job_id: str) -> None:
         """Put a claimed job back (daemon shutting down mid-run)."""
@@ -243,7 +263,7 @@ class JobQueue:
             job.state = JobState.QUEUED
             self._journal_state(job)
             heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
-            self._ready.notify()
+            self._ready.notify_all()
 
     def cancel(self, job_id: str) -> str:
         """Cancel a job; returns what happened.
@@ -259,6 +279,7 @@ class JobQueue:
             if job.state is JobState.QUEUED:
                 job.state = JobState.CANCELLED
                 self._journal_state(job)
+                self._ready.notify_all()
                 return "cancelled"
             if job.state is JobState.RUNNING:
                 job.cancel_event.set()

@@ -72,7 +72,7 @@ def execute(spec: JobSpec, job_dir, store_root=None, cancel_after_s=None):
         timer = threading.Timer(cancel_after_s, job.cancel_event.set)
         timer.start()
     try:
-        return ProcessJobExecutor(poll_interval_s=0.02).execute(
+        return ProcessJobExecutor().execute(
             job, str(job_dir), store_root, str(job_dir / "campaign"))
     finally:
         if timer is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -221,6 +222,20 @@ class BlockingExecutor(StubExecutor):
         raise JobCancelled(job.id)
 
 
+class GatedExecutor(StubExecutor):
+    """Holds each job until the test opens the gate, then succeeds."""
+
+    def __init__(self):
+        super().__init__()
+        self.started = threading.Event()
+        self.gate = threading.Event()
+
+    def execute(self, job, job_dir, store_root, campaign_dir=None):
+        self.started.set()
+        assert self.gate.wait(timeout=30.0)
+        return super().execute(job, job_dir, store_root, campaign_dir)
+
+
 class ExplodingExecutor(StubExecutor):
     def execute(self, job, job_dir, store_root, campaign_dir=None):
         raise RuntimeError("boom")
@@ -237,7 +252,7 @@ def _dispatcher(tmp_path, executor, store=True):
     dispatcher = Dispatcher(
         queue, str(tmp_path / "jobs"),
         store_root=str(tmp_path / "store") if store else None,
-        executor=executor, claim_timeout_s=0.02)
+        executor=executor)
     return queue, dispatcher
 
 
@@ -289,6 +304,26 @@ class TestDispatcher:
             dispatcher.stop()
         assert queue.get(job.id).state is JobState.CANCELLED
         assert dispatcher.counters["cancelled"] == 1
+
+    def test_claimed_job_is_busy_and_not_idle(self, tmp_path):
+        # A claimed job is RUNNING before any executor starts: the
+        # dispatcher reads that from the queue, not from its own flag.
+        queue, dispatcher = _dispatcher(tmp_path, StubExecutor())
+        queue.submit(suite_spec())
+        queue.claim_next()
+        assert dispatcher.busy
+        assert not dispatcher.wait_idle(timeout_s=0.1)
+
+    def test_stop_wakes_the_blocked_claim(self, tmp_path):
+        queue, dispatcher = _dispatcher(tmp_path, StubExecutor())
+        dispatcher.start()
+        queue.submit(suite_spec())
+        assert dispatcher.wait_idle(timeout_s=10.0)
+        thread = dispatcher._thread
+        started = time.monotonic()
+        dispatcher.stop()
+        assert time.monotonic() - started < 0.15
+        assert not thread.is_alive()
 
     def test_executor_failure_is_contained(self, tmp_path):
         queue, dispatcher = _dispatcher(tmp_path, ExplodingExecutor())
@@ -428,6 +463,47 @@ class TestDaemonHTTP:
             client.cancel("job-999999")
         with pytest.raises(ServiceError):
             client._request("GET", "/api/v2/jobs")
+
+    def test_long_poll_answers_when_the_job_finishes(self, tmp_path):
+        executor = GatedExecutor()
+        with CampaignDaemon(str(tmp_path / "state"),
+                            executor=executor) as daemon:
+            client = Client(daemon.url)
+            job = client.submit(suite_spec())
+            assert executor.started.wait(timeout=10.0)
+            gate = threading.Timer(0.2, executor.gate.set)
+            gate.start()
+            started = time.monotonic()
+            body = client._json("GET", f"/api/v1/jobs/{job['id']}?wait=20",
+                                kind="job-status")
+            elapsed = time.monotonic() - started
+            gate.cancel()
+        assert body["state"] == "done"
+        assert elapsed < 10.0
+
+    def test_long_poll_rejects_bad_waits(self, daemon):
+        client = Client(daemon.url)
+        job = client.submit(suite_spec())
+        for bad in ("abc", "-1"):
+            with pytest.raises(ServiceError) as exc:
+                client._request("GET", f"/api/v1/jobs/{job['id']}?wait={bad}")
+            assert exc.value.status == 400
+        with pytest.raises(ServiceError) as exc:
+            client._request("GET", "/api/v1/jobs/job-999999?wait=5")
+        assert exc.value.status == 404
+
+    def test_wait_times_out_on_a_job_that_never_runs(self, tmp_path):
+        daemon = CampaignDaemon(str(tmp_path / "state"),
+                                executor=InlineJobExecutor())
+        daemon.start()
+        daemon.dispatcher.stop()
+        try:
+            client = Client(daemon.url)
+            job = client.submit(suite_spec())
+            with pytest.raises(ServiceError, match="still queued"):
+                client.wait(job["id"], timeout_s=0.2)
+        finally:
+            daemon.stop()
 
     def test_malformed_submission_is_400(self, daemon):
         client = Client(daemon.url)
