@@ -16,7 +16,7 @@ all cores and makes the pool keep up.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..net.link import Node, Port
 from ..net.packet import Packet
@@ -90,7 +90,6 @@ class DumperServer(Node):
         self.cores = [_Core(i, ring_slots, core_service_ns) for i in range(num_cores)]
         self._records: List[DumpRecord] = []
         self._terminated = False
-        self._disk_file: Optional[List[DumpRecord]] = None
         self.rx_discards = 0
         self.term_dropped = 0
         tel = observe.current()
@@ -146,7 +145,10 @@ class DumperServer(Node):
     def terminate(self) -> List[DumpRecord]:
         """Handle the orchestrator's TERM: restore UDP ports, write disk.
 
-        Returns the written records. Packets still queued in core rings
+        Returns the written records and frees the in-memory buffer, so
+        the caller holds the only reference: a finished testbed is
+        cyclic garbage, and records it kept would outlive the run until
+        the next full collection. Packets still queued in core rings
         at TERM time are lost, as they would be in the real dumper —
         but they are *counted* (``term_dropped``, folded into
         ``rx_discards``) so a broken-capture run cannot under-report
@@ -161,13 +163,8 @@ class DumperServer(Node):
                 self._m_discards.inc(core.backlog)
                 core.backlog = 0
                 self._m_ring[core.index].set(0)
-        self._disk_file = [record.restored() for record in self._records]
-        return self._disk_file
-
-    @property
-    def disk_file(self) -> Optional[List[DumpRecord]]:
-        """Records written on TERM, or None if still running."""
-        return self._disk_file
+        records, self._records = self._records, []
+        return [record.restored() for record in records]
 
     @property
     def buffered_records(self) -> int:

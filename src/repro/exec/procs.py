@@ -28,6 +28,10 @@ Three properties follow from the server's lifetime:
   process only if it was set before the server started.
 * **Per process.** A server belongs to the process that started it. A
   job process that builds its own pool starts its own server.
+
+:data:`PRELOAD` holds every module a job or pool task imports: a cold
+job of each kind adds nothing to the ``sys.modules`` it inherits, which
+``tests/test_job_processes.py`` checks.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from multiprocessing.context import BaseContext
 __all__ = ["PRELOAD", "context"]
 
 #: Imported once by the server, inherited by every child it forks:
-#: the job entry points, the campaign front-ends they call, the store
-#: and the pool-task modules.
+#: the job entry points, the campaign front-ends they call, the store,
+#: the pool and its tasks, and the process machinery a job that builds
+#: its own pool starts it with.
 PRELOAD = (
     "repro.service.dispatcher",
     "repro.service.jobs",
@@ -54,8 +59,11 @@ PRELOAD = (
     "repro.core.report",
     "repro.store",
     "repro.store.serialize",
+    "repro.exec.runner",
     "repro.exec.tasks",
     "repro.exec.worker",
+    "multiprocessing.popen_forkserver",
+    "multiprocessing.synchronize",
 )
 
 _start_lock = threading.Lock()

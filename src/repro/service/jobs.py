@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from .. import observe
 from .jobspec import JobSpec, decode_jobspec
@@ -36,7 +35,6 @@ RESULT_FILE = "result.json"
 OBSERVE_DIR = "observe"
 
 
-@dataclass
 class JobOutcome:
     """Everything one executed job produced.
 
@@ -48,15 +46,36 @@ class JobOutcome:
     part of the document); ``stats`` small JSON-able execution counts.
     Flight-recorder timelines of anomalous runs and checks are queued
     on the live observation session, which dumps them on export.
+
+    ``report`` and ``data`` may be given as zero-argument callables:
+    they are then computed on first access, so an api-facade caller
+    that only wants ``value`` never renders or encodes.
     """
 
-    kind: str
-    report: str
-    exit_code: int
-    value: Any = None
-    data: Dict = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
-    stats: Dict = field(default_factory=dict)
+    def __init__(self, kind: str, report: Union[str, Callable[[], str]],
+                 exit_code: int, value: Any = None,
+                 data: Union[Dict, Callable[[], Dict], None] = None,
+                 notes: Optional[List[str]] = None,
+                 stats: Optional[Dict] = None):
+        self.kind = kind
+        self.exit_code = exit_code
+        self.value = value
+        self.notes = notes if notes is not None else []
+        self.stats = stats if stats is not None else {}
+        self._report = report
+        self._data = data if data is not None else {}
+
+    @property
+    def report(self) -> str:
+        if callable(self._report):
+            self._report = self._report()
+        return self._report
+
+    @property
+    def data(self) -> Dict:
+        if callable(self._data):
+            self._data = self._data()
+        return self._data
 
 
 def _scenario(name: Optional[str]):
@@ -83,9 +102,9 @@ def _execute_run(spec: JobSpec, store) -> JobOutcome:
                    else "integrity-fail")
         observe.current().dump_flight(f"run-seed{config.seed}", trigger,
                                       result.flight_record)
-    return JobOutcome(kind="run", report=render_report(result),
+    return JobOutcome(kind="run", report=lambda: render_report(result),
                       exit_code=0 if result.ok else 1, value=result,
-                      data={"result": encode_result(result)})
+                      data=lambda: {"result": encode_result(result)})
 
 
 def _execute_suite(spec: JobSpec, store) -> JobOutcome:
@@ -104,10 +123,11 @@ def _execute_suite(spec: JobSpec, store) -> JobOutcome:
                 check.name, check.outcome.value if check.outcome else "FAIL",
                 check.flight_record)
     return JobOutcome(
-        kind="suite", report=card.render(),
+        kind="suite", report=card.render,
         exit_code=0 if card.all_passed else 1, value=card,
-        data={"nic": card.nic,
-              "results": [encode_check_result(c) for c in card.results]})
+        data=lambda: {"nic": card.nic,
+                      "results": [encode_check_result(c)
+                                  for c in card.results]})
 
 
 def _execute_fuzz(spec: JobSpec, store,
@@ -221,12 +241,11 @@ def result_document(spec: JobSpec, outcome: JobOutcome) -> Dict:
 
 def write_result_document(doc: Dict, job_dir: str) -> str:
     """Atomically persist a result document; returns its path."""
+    from ..store.index import atomic_write_json
+
     os.makedirs(job_dir, exist_ok=True)
     path = os.path.join(job_dir, RESULT_FILE)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-    os.replace(tmp, path)
+    atomic_write_json(path, doc)
     return path
 
 

@@ -29,10 +29,16 @@ class StoreError(RuntimeError):
     """A store directory is unusable or inconsistent with the campaign."""
 
 
-def _atomic_write_json(path: str, payload) -> None:
+def atomic_write_json(path: str, payload) -> None:
+    """Write ``payload`` as compact, key-sorted JSON, atomically.
+
+    ``json.dumps`` rather than ``json.dump``: only the one-shot call
+    takes the C encoder.
+    """
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+        handle.write(json.dumps(payload, sort_keys=True,
+                                separators=(",", ":")))
     os.replace(tmp, path)
 
 
@@ -74,9 +80,9 @@ class CampaignStore:
             self.gc()
 
     def _save_index(self) -> None:
-        _atomic_write_json(self._index_path(),
-                           {"next-seq": self._next_seq,
-                            "entries": self._index})
+        atomic_write_json(self._index_path(),
+                          {"next-seq": self._next_seq,
+                           "entries": self._index})
 
     def _object_path(self, fp: str) -> str:
         return os.path.join(self._objects, fp[:2], fp + ".json")
@@ -109,8 +115,8 @@ class CampaignStore:
         self._next_seq += 1
         path = self._object_path(fp)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        _atomic_write_json(path, {"fingerprint": fp, "kind": kind,
-                                  "seq": seq, "data": data})
+        atomic_write_json(path, {"fingerprint": fp, "kind": kind,
+                                 "seq": seq, "data": data})
         self._index[fp] = {"kind": kind, "seq": seq}
         self._save_index()
 

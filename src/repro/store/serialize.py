@@ -452,8 +452,9 @@ def save_result_file(result: TestResult, path: str) -> str:
     import json
 
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(wrap_document("test-result", encode_result(result)),
-                  handle, sort_keys=True, indent=1)
+        handle.write(json.dumps(
+            wrap_document("test-result", encode_result(result)),
+            sort_keys=True, indent=1))
     return path
 
 

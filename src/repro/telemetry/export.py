@@ -172,8 +172,7 @@ def export_run(registry: MetricsRegistry, tracer: Tracer,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / TRACE_FILE
-    with trace_path.open("w") as handle:
-        json.dump(to_chrome_trace(tracer), handle)
+    trace_path.write_text(json.dumps(to_chrome_trace(tracer)))
     metrics_path = out / METRICS_FILE
     metrics_path.write_text(to_prometheus(registry))
     events_path = out / EVENTS_FILE

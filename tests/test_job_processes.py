@@ -6,12 +6,14 @@ start actual job processes through
 the process factory (:func:`repro.exec.procs.context`) keeps job
 isolation intact: a fresh process per job, byte-identical results,
 cancel and timeout that really stop the child, and failures surfaced
-as :class:`JobFailed`. The last test checks that the server's preload
-took effect even when ``repro`` reached ``sys.path`` at runtime.
+as :class:`JobFailed`. The last tests check the server's preload: it
+takes effect even when ``repro`` reached ``sys.path`` at runtime, and
+it holds every module a cold job imports.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -29,6 +31,7 @@ from repro.service.dispatcher import (JobCancelled, JobFailed, JobTimeout,
                                       ProcessJobExecutor)
 from repro.service.jobs import (RESULT_FILE, result_document,
                                 write_result_document)
+from repro.service.jobspec import encode_jobspec
 from repro.service.queue import Job
 
 HAS_FORKSERVER = "forkserver" in multiprocessing.get_all_start_methods()
@@ -187,3 +190,68 @@ def test_preload_reaches_children_when_src_is_added_at_runtime(tmp_path):
                             cwd=str(tmp_path), capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+JOB_IMPORTS_PROBE = """\
+import json
+import sys
+
+
+def record(spec_doc, job_dir, out_path):
+    before = set(sys.modules)
+    from repro.service.dispatcher import _job_process_main
+    _job_process_main(spec_doc, job_dir, None, None)
+    with open(out_path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+JOB_IMPORTS_PARENT = """\
+import sys
+sys.path.insert(0, {src!r})
+sys.path.insert(0, {probe_dir!r})
+from repro.exec import procs
+import job_imports_probe
+
+process = procs.context().Process(target=job_imports_probe.record,
+                                  args=({spec_doc!r}, {job_dir!r},
+                                        {out_path!r}),
+                                  daemon=True)
+process.start()
+process.join(120)
+sys.exit(process.exitcode)
+"""
+
+
+def job_imports(spec: JobSpec, tmp_path) -> list:
+    """The modules a cold job process of ``spec`` imports beyond its
+    server's.
+
+    The parent is a ``-c`` interpreter, so no main script is re-run in
+    the child, and the target lives in a probe module that imports only
+    ``sys`` and ``json``: the child's ``sys.modules`` at target entry is
+    the server's, plus nothing a job could need.
+    """
+    (tmp_path / "job_imports_probe.py").write_text(JOB_IMPORTS_PROBE)
+    out = tmp_path / "imports.json"
+    code = JOB_IMPORTS_PARENT.format(
+        src=os.path.dirname(os.path.dirname(repro.__file__)),
+        probe_dir=str(tmp_path), spec_doc=encode_jobspec(spec),
+        job_dir=str(tmp_path / "job"), out_path=str(out))
+    result = subprocess.run([sys.executable, "-c", code],
+                            cwd=str(tmp_path), capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return json.loads(out.read_text())
+
+
+@pytest.mark.skipif(not HAS_FORKSERVER, reason="no forkserver on platform")
+@pytest.mark.parametrize("spec", [
+    run_spec(seed=3),
+    JobSpec.for_suite("cx5", checks=["gbn-logic"]),
+    JobSpec.for_fuzz(target="counter-bugs", nic="e810", iterations=2,
+                     batch=2),
+    JobSpec.for_sweep(nics=["cx5"], seeds=1, messages=2),
+    JobSpec.for_sweep(nics=["cx5", "e810"], seeds=1, messages=2, workers=2),
+], ids=["run", "suite", "fuzz", "sweep", "sweep-workers-2"])
+def test_cold_job_imports_nothing_the_server_lacks(spec, tmp_path):
+    assert job_imports(spec, tmp_path) == []

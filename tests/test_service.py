@@ -81,6 +81,14 @@ class TestDocumentEnvelope:
         with pytest.raises(ValueError):
             unwrap_document(doc, kind="job-spec")
 
+    def test_result_file_is_compact_sorted_json(self, tmp_path):
+        spec = suite_spec()
+        doc = result_document(spec, execute_jobspec(spec))
+        path = write_result_document(doc, str(tmp_path))
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == json.dumps(doc, sort_keys=True,
+                                               separators=(",", ":"))
+
 
 # ---------------------------------------------------------------------------
 # Job specs
@@ -370,6 +378,23 @@ class TestExecuteJobspec:
         report = api.run_fuzz_campaign(quick_config(num_msgs=2, seed=11),
                                        iterations=2, batch_size=2)
         assert report.iterations_run == 2
+
+    def test_api_callers_never_render_or_encode(self, monkeypatch):
+        # api.run_test / api.run_suite want only the outcome's value;
+        # its report and data are computed on first access.
+        from repro import api
+        from repro.core import report, suite
+        from repro.store import serialize
+
+        def unused(*args, **kwargs):
+            raise AssertionError("rendered or encoded for an api caller")
+
+        monkeypatch.setattr(report, "render_report", unused)
+        monkeypatch.setattr(serialize, "encode_result", unused)
+        monkeypatch.setattr(serialize, "encode_check_result", unused)
+        monkeypatch.setattr(suite.Scorecard, "render", unused)
+        assert api.run_test(quick_config(num_msgs=2, seed=11)).ok
+        assert api.run_suite("cx5", checks=["gbn-logic"]).all_passed
 
     def test_job_process_fuzz_coverage_fitness_matches_local(self,
                                                             tmp_path):
