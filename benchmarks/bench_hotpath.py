@@ -1,9 +1,8 @@
 """Packet hot-path microbenchmarks and the perf-regression gate.
 
-Measures the three layers every simulated packet pays for — header
-serialization (+iCRC), raw CRC folding, and engine event dispatch —
-plus one end-to-end ``run_test`` on the parallel-scaling workload, and
-writes a canonical ``BENCH_hotpath.json``.
+Measures engine event dispatch, the layer every simulated packet pays
+for, plus one end-to-end ``run_test`` on the parallel-scaling workload,
+and writes a canonical ``BENCH_hotpath.json``.
 
 Run as a script (no pytest needed):
 
@@ -15,8 +14,8 @@ Run as a script (no pytest needed):
 committed ``benchmarks/BENCH_hotpath.json`` and exits 1 on a >25%
 regression — the CI ``perf`` job runs exactly this. The committed file
 also records the pre-refactor (PR 6) numbers measured with the
-interpreted ``struct.pack``/dict-``Packet``/pure-Python-CRC hot path,
-so the speedup trajectory stays auditable.
+interpreted ``struct.pack``/dict-``Packet`` hot path, so the speedup
+trajectory stays auditable.
 """
 
 from __future__ import annotations
@@ -35,85 +34,14 @@ sys.path.insert(0, str(BENCH_DIR.parent / "src"))
 
 from repro import quick_config  # noqa: E402
 from repro.api import run_test  # noqa: E402
-from repro.net.checksum import crc32_ib, icrc_for  # noqa: E402
-from repro.net.headers import (  # noqa: E402
-    AckExtendedHeader,
-    BaseTransportHeader,
-    EthernetHeader,
-    Ipv4Header,
-    Opcode,
-    RdmaExtendedHeader,
-    UdpHeader,
-)
-from repro.net.packet import Packet  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
 #: Allowed slowdown vs the committed baseline before --check fails.
 TOLERANCE = 0.25
 
-#: Payload length used by the pack+iCRC microbenchmark (a typical MTU
-#: fragment; the zero-fold over it dominates an uncached pure-Python
-#: iCRC, which is exactly the cost the zlib backend removes).
-PACK_PAYLOAD_LEN = 1024
-
 
 # ----------------------------------------------------------------------
-# Section 1: header pack + iCRC (fresh packet each time: no wire cache)
-# ----------------------------------------------------------------------
-def _fresh_packet(i: int) -> Packet:
-    """A representative packet; cycles data/read-response/ACK shapes."""
-    shape = i % 3
-    bth = BaseTransportHeader(
-        opcode=(Opcode.RDMA_WRITE_ONLY, Opcode.RDMA_READ_RESPONSE_ONLY,
-                Opcode.ACKNOWLEDGE)[shape],
-        dest_qp=0x100 + (i & 0xFF), psn=i & 0xFFFFFF,
-        ack_request=shape == 0,
-    )
-    return Packet(
-        eth=EthernetHeader(dst_mac=0x02AABB000001, src_mac=0x02AABB000002),
-        ip=Ipv4Header(src_ip=0x0A000001, dst_ip=0x0A000002,
-                      total_length=20 + 8 + 12 + PACK_PAYLOAD_LEN),
-        udp=UdpHeader(src_port=0xC000 + (i & 0xFF)),
-        bth=bth,
-        reth=RdmaExtendedHeader(virtual_address=0x7F00_0000_0000 + i,
-                                rkey=0x1EE7, dma_length=PACK_PAYLOAD_LEN)
-        if shape == 0 else None,
-        aeth=AckExtendedHeader.ack(msn=i & 0xFFFFFF) if shape else None,
-        payload_len=PACK_PAYLOAD_LEN if shape != 2 else 0,
-    )
-
-
-def bench_pack_icrc(n: int = 20_000, repeats: int = 3) -> dict:
-    best = float("inf")
-    for _ in range(repeats):
-        icrc_for.cache_clear()
-        start = time.perf_counter()
-        for i in range(n):
-            packet = _fresh_packet(i)
-            packet.pack_headers()
-            packet.icrc()
-        best = min(best, time.perf_counter() - start)
-    return {"packets_per_sec": round(n / best, 1), "n": n,
-            "payload_len": PACK_PAYLOAD_LEN, "seconds": round(best, 4)}
-
-
-# ----------------------------------------------------------------------
-# Section 2: raw CRC fold throughput
-# ----------------------------------------------------------------------
-def bench_crc32(buf_len: int = 4096, n: int = 2_000, repeats: int = 3) -> dict:
-    buf = bytes(range(256)) * (buf_len // 256)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(n):
-            crc32_ib(buf)
-        best = min(best, time.perf_counter() - start)
-    mb = n * buf_len / (1024 * 1024)
-    return {"mb_per_sec": round(mb / best, 2), "buf_len": buf_len, "n": n}
-
-
-# ----------------------------------------------------------------------
-# Section 3: engine dispatch (serialization-delay + same-tick pattern)
+# Section 1: engine dispatch (serialization-delay + same-tick pattern)
 # ----------------------------------------------------------------------
 def _engine_workload(n_events: int) -> float:
     """Events/sec for a link-like schedule mix.
@@ -150,7 +78,7 @@ def bench_engine(n_events: int = 200_000, repeats: int = 3) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Section 4: end to end — one e810 WRITE run, 2 QPs x 10 x 100 KiB
+# Section 2: end to end — one e810 WRITE run, 2 QPs x 10 x 100 KiB
 # ----------------------------------------------------------------------
 def bench_e2e(repeats: int = 3) -> dict:
     config = quick_config(nic="e810", verb="write", num_msgs=10,
@@ -170,8 +98,6 @@ def bench_e2e(repeats: int = 3) -> dict:
 
 #: section name -> (metric key, pretty unit)
 SECTIONS = {
-    "pack_icrc": (bench_pack_icrc, "packets_per_sec", "pkt/s"),
-    "crc32": (bench_crc32, "mb_per_sec", "MiB/s"),
     "engine": (bench_engine, "events_per_sec", "ev/s"),
     "e2e": (bench_e2e, "packets_per_sec", "pkt/s"),
 }

@@ -28,9 +28,6 @@ if TYPE_CHECKING:  # avoid a runtime core -> store import cycle
     from ..store.index import CampaignStore
 
 from .. import observe
-from ..net.checksum import icrc_for
-from ..net.checksum import icrc_batch_stats
-from ..net.packet import pack_cache_hits
 from ..switch.events import RewriteRule
 from ..telemetry.instrument import attach_testbed
 from .config import TestConfig
@@ -83,11 +80,6 @@ class Orchestrator:
         session = observe.current()
         m_retries = session.counter("run_retries")
         m_integrity_failures = session.counter("run_integrity_failures")
-        # Hot-path cache effectiveness: record per-run deltas of the
-        # process-wide icrc_for lru_cache and pack_headers() counters.
-        icrc_info_start = icrc_for.cache_info()
-        batch_hits_start, batch_misses_start = icrc_batch_stats()
-        pack_hits_start = pack_cache_hits()
         policy = self.config.retry
         cov = observe.active()
         # The run's own coverage scope: its snapshot rides on the result
@@ -134,16 +126,6 @@ class Orchestrator:
                 result.flight_record = cov.flight_snapshot()
         if session.metrics:
             session.gauge("run_attempts").set(len(attempts))
-            icrc_info = icrc_for.cache_info()
-            batch_hits, batch_misses = icrc_batch_stats()
-            session.counter("icrc_cache_hits").inc(
-                icrc_info.hits - icrc_info_start.hits
-                + batch_hits - batch_hits_start)
-            session.counter("icrc_cache_misses").inc(
-                icrc_info.misses - icrc_info_start.misses
-                + batch_misses - batch_misses_start)
-            session.counter("pack_cache_hits").inc(
-                pack_cache_hits() - pack_hits_start)
         return result
 
     def _run_attempt(self) -> TestResult:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..dumper.records import DumpRecord, ParsedRecord, expected_icrcs, parse_record
+from ..dumper.records import DumpRecord, ParsedRecord, parse_record
 from ..net.headers import Opcode
 from ..net.packet import EventType
 from ..switch.itertrack import IterTracker
@@ -208,16 +208,6 @@ class PacketTrace:
         self._index()
         assert self._by_identity is not None
         return self._by_identity.get((conn_key, psn, iteration))
-
-    def expected_icrcs(self) -> List[int]:
-        """Batched clean iCRC for every packet in trace order.
-
-        One :func:`repro.dumper.records.expected_icrcs` call over the
-        whole trace — duplicate transport-header shapes (long trains of
-        same-shaped data packets) collapse inside the batch instead of
-        costing a cache probe each.
-        """
-        return expected_icrcs(p.record for p in self.packets)
 
     @property
     def gaps(self) -> List[TraceGap]:

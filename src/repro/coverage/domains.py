@@ -1,6 +1,6 @@
 """The registry of known coverage domains and instrumentation points.
 
-Every point a component can :meth:`~repro.coverage.runtime.DomainHandle.
+Every point a component can :meth:`~repro.coverage.map.DomainHandle.
 hit` is declared here, so ``coverage-report`` can answer the negative
 question — "which GBN edges has this campaign *never* reached?" — not
 just the positive one. The declaration is advisory: the hot path never

@@ -11,10 +11,9 @@ switch timestamp from the destination MAC).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from ..net.addressing import ROCEV2_UDP_PORT
-from ..net.checksum import icrc_many
 from ..net.headers import (
     AckExtendedHeader,
     AETH_LEN,
@@ -34,7 +33,7 @@ from ..net.headers import (
 from ..net.packet import EventType, Packet
 
 __all__ = ["TRIM_BYTES", "DumpRecord", "ParsedRecord", "make_record",
-           "parse_record", "expected_icrcs"]
+           "parse_record"]
 
 #: Bytes of each packet the dumper retains (§5).
 TRIM_BYTES = 128
@@ -193,15 +192,6 @@ class ParsedRecord:
         """The directed-connection key the switch tracks ITER by."""
         return (self.ip.src_ip, self.ip.dst_ip, self.bth.dest_qp)
 
-    def transport_bytes(self) -> bytes:
-        """The packed IB transport headers the iCRC is computed over."""
-        data = self.bth.pack()
-        if self.reth is not None:
-            data += self.reth.pack()
-        if self.aeth is not None:
-            data += self.aeth.pack()
-        return data
-
 
 def make_record(packet: Packet, rx_time_ns: int, server: str, core: int) -> DumpRecord:
     """Trim a mirrored packet into a dump record (first 128 wire bytes)."""
@@ -246,15 +236,3 @@ def parse_record(record: DumpRecord) -> ParsedRecord:
         payload_len = 0
     return ParsedRecord(eth, ip, udp, bth, reth, aeth, payload_len,
                         record.rx_time_ns, record.server, record.core)
-
-
-def expected_icrcs(parsed: Iterable[ParsedRecord]) -> List[int]:
-    """Clean iCRC each record's packet should have carried on the wire.
-
-    Batched over :func:`repro.net.checksum.icrc_many`: mirror trains
-    repeat a handful of transport-header shapes, so computing the whole
-    trace at once lets the duplicates collapse instead of paying one
-    cache probe per record. Corruption analysis compares these against
-    the receiving RNIC's ``rx_icrc_errors`` accounting.
-    """
-    return icrc_many((p.transport_bytes(), p.payload_len) for p in parsed)

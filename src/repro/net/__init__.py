@@ -8,7 +8,7 @@ from .addressing import (
     mac_to_int,
     parse_cidr,
 )
-from .checksum import crc32_ib, icrc_for
+from .checksum import icrc_for
 from .headers import (
     AckExtendedHeader,
     AethSyndrome,
@@ -33,7 +33,6 @@ __all__ = [
     "ip_to_int",
     "mac_to_int",
     "parse_cidr",
-    "crc32_ib",
     "icrc_for",
     "AckExtendedHeader",
     "AethSyndrome",

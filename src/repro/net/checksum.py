@@ -6,24 +6,21 @@ masked to ones. A corrupted packet — which Lumina's event injector can
 create on purpose — fails this check at the receiving RNIC and shows up
 in the ``rx_icrc_errors`` counter.
 
-The polynomial is the standard reflected CRC-32 (0xEDB88320) used by
-InfiniBand — the same one :func:`zlib.crc32` implements in C. The fold
-therefore runs on zlib, with the historical table-driven pure-Python
-implementation kept as ``crc32_ib_py``/``icrc_for_py`` both as a
-fallback and as an independent oracle for the parity tests. The two
-backends are related by a complement at the chaining boundary:
-``table_fold(data, crc) ^ 0xFFFFFFFF == zlib.crc32(data, crc ^ 0xFFFFFFFF)``
-so every value returned here is bit-identical whichever backend runs.
+The simulation models corruption with ``Packet.icrc_ok`` and never
+computes a CRC during a run. :func:`icrc_for` is what ``Packet.icrc``
+returns for a clean packet: an unseeded :func:`zlib.crc32` (the standard
+reflected CRC-32, polynomial 0xEDB88320, the one InfiniBand uses) over
+the packed transport headers followed by ``payload_len`` zero bytes.
+:func:`icrc_for_py` is the table-driven reference it is tested against.
 """
 
 from __future__ import annotations
 
 import zlib
 from functools import lru_cache
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
-__all__ = ["crc32_ib", "icrc_for", "icrc_many", "icrc_batch_stats",
-           "crc32_ib_py", "icrc_for_py"]
+__all__ = ["icrc_for", "icrc_batch_stats", "icrc_for_py"]
 
 _POLY = 0xEDB88320
 
@@ -57,90 +54,39 @@ def _build_table() -> List[int]:
 _TABLE = _build_table()
 
 
-def crc32_ib(data: bytes, crc: int = 0xFFFFFFFF) -> int:
-    """CRC-32 over ``data`` with the IB initial value, returned inverted.
-
-    ``crc`` is a raw (non-inverted) register value, as produced by the
-    table fold — callers chaining folds pass the previous *register*,
-    not the previous return value. zlib keeps the register complemented
-    internally, hence the XORs at the boundary.
-    """
-    return zlib.crc32(data, crc ^ 0xFFFFFFFF)
-
-
 @lru_cache(maxsize=4096)
-def icrc_for(transport_bytes: bytes, payload_len: int) -> int:
+def icrc_for(transport: bytes, payload_len: int) -> int:
     """The iCRC an RNIC would compute for a packet.
 
-    ``transport_bytes`` are the packed BTH (+ extension headers); the
+    ``transport`` is the packed BTH (+ extension headers); the
     payload is simulated, so it contributes as ``payload_len`` zero
     bytes. Volatile IP fields are already excluded by construction —
     the simulation masks them by simply not including the IP header.
-
-    Memoised: traffic generators emit long trains of identical
-    transport headers (only the virtual payload differs in length), so
-    the ``(transport_bytes, payload_len)`` key repeats constantly and
-    the zero-fold over the payload dominates an uncached call.
     """
-    crc = zlib.crc32(transport_bytes)
+    crc = zlib.crc32(transport)
     if payload_len:
         crc = zlib.crc32(_zeros(payload_len), crc)
     return crc
 
 
-def icrc_many(items: Iterable[Tuple[bytes, int]]) -> List[int]:
-    """Batched :func:`icrc_for` for mirror/dumper paths.
-
-    Takes ``(transport_bytes, payload_len)`` pairs and returns the iCRC
-    for each. Bypasses the lru_cache bookkeeping per item but keeps the
-    same values — mirror trains repeat a handful of header shapes, so a
-    local dict catches the duplicates within the batch.
-    """
-    seen: dict = {}
-    out: List[int] = []
-    for transport_bytes, payload_len in items:
-        key = (transport_bytes, payload_len)
-        crc = seen.get(key)
-        if crc is None:
-            crc = zlib.crc32(transport_bytes)
-            if payload_len:
-                crc = zlib.crc32(_zeros(payload_len), crc)
-            seen[key] = crc
-        out.append(crc)
-    global _batch_hits, _batch_misses
-    _batch_hits += len(out) - len(seen)
-    _batch_misses += len(seen)
-    return out
-
-
-#: Process-wide tallies of icrc_many()'s in-batch dedup (telemetry
-#: only; the orchestrator records per-run deltas alongside the
-#: icrc_for lru_cache stats).
-_batch_hits = 0
-_batch_misses = 0
-
-
 def icrc_batch_stats() -> Tuple[int, int]:
-    """Cumulative (hits, misses) across all icrc_many() batches."""
-    return _batch_hits, _batch_misses
+    """Always ``(0, 0)``: no batched iCRC path exists.
+
+    Kept only for the frozen per-layer probe in
+    ``benchmarks/e2e/e2e_layers.py``, which imports it; nothing in the
+    package calls it.
+    """
+    return (0, 0)
 
 
-# ----------------------------------------------------------------------
-# Pure-Python fallback (the pre-zlib implementation). Kept verbatim as
-# an oracle: tests assert bit-parity with the zlib backend over random
-# buffers, lengths and chained folds.
-# ----------------------------------------------------------------------
-def crc32_ib_py(data: bytes, crc: int = 0xFFFFFFFF) -> int:
-    """Table-driven reference implementation of :func:`crc32_ib`."""
-    for byte in data:
-        crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+def icrc_for_py(transport: bytes, payload_len: int) -> int:
+    """Table-driven reference implementation of :func:`icrc_for`.
 
-
-def icrc_for_py(transport_bytes: bytes, payload_len: int) -> int:
-    """Table-driven reference implementation of :func:`icrc_for`."""
+    A test oracle only: the parity tests compare :func:`icrc_for`
+    against it over random transport bytes and payload lengths.
+    """
     crc = 0xFFFFFFFF
-    for byte in transport_bytes:
+    for byte in transport:
         crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
     for _ in range(payload_len):
         crc = (crc >> 8) ^ _TABLE[crc & 0xFF]

@@ -22,8 +22,10 @@ instance per simulated packet plus one per mirrored clone, and the
 dict-per-instance cost plus dataclass-generated method overhead was
 measurable in profiles. Semantics match the dataclass it replaced —
 field order, defaults, value-``__eq__`` over every real field including
-``packet_id`` (wire caches excluded), unhashable — and pickling for the
-spawn pool drops the caches so workers never ship stale wire bytes.
+``packet_id`` (the cached wire size excluded), unhashable. Pickling uses
+the default slot state, which carries ``_wire_size``: that is a pure
+function of which headers are present and ``payload_len``, and no
+in-place rewrite (ECN mark, MigReq rewrite, mirror stamping) changes it.
 """
 
 from __future__ import annotations
@@ -53,15 +55,15 @@ __all__ = ["Packet", "EventType", "pack_cache_hits"]
 
 _packet_ids = itertools.count(1)
 
-#: Process-wide count of pack_headers() calls served from the wire
-#: cache. Telemetry-only (the orchestrator records per-run deltas);
-#: never feeds simulation state.
-_pack_cache_hits = 0
-
 
 def pack_cache_hits() -> int:
-    """Cumulative pack_headers() cache hits in this process."""
-    return _pack_cache_hits
+    """Always 0: ``pack_headers`` keeps no cache.
+
+    Kept only for the frozen per-layer probe in
+    ``benchmarks/e2e/e2e_layers.py``, which imports it; nothing in the
+    package calls it.
+    """
+    return 0
 
 
 class EventType:
@@ -87,12 +89,8 @@ class Packet:
     __slots__ = (
         "eth", "ip", "udp", "bth", "reth", "aeth", "payload_len",
         "icrc_ok", "packet_id", "is_mirror",
-        # Wire-format caches. Headers are immutable between explicit
-        # switch rewrites, so serialisation results are reused until a
-        # mutation path calls invalidate_wire_cache(). Excluded from
-        # equality and pickling: a cached and an uncached packet are
-        # the same packet.
-        "_packed_headers", "_icrc_clean", "_wire_size",
+        # Cached wire size (see ``size``); excluded from equality.
+        "_wire_size",
     )
     __hash__ = None  # value-equal, like the dataclass it replaced
 
@@ -122,8 +120,6 @@ class Packet:
         self.packet_id = packet_id if packet_id is not None else next(_packet_ids)
         #: True on mirrored copies (set by the switch mirror block).
         self.is_mirror = is_mirror
-        self._packed_headers: Optional[bytes] = None
-        self._icrc_clean: Optional[int] = None
         self._wire_size: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -142,19 +138,6 @@ class Packet:
                 and self.icrc_ok == other.icrc_ok
                 and self.packet_id == other.packet_id
                 and self.is_mirror == other.is_mirror)
-
-    def __getstate__(self) -> tuple:
-        # Caches are process-local; rebuild lazily after unpickling.
-        return (self.eth, self.ip, self.udp, self.bth, self.reth, self.aeth,
-                self.payload_len, self.icrc_ok, self.packet_id, self.is_mirror)
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.eth, self.ip, self.udp, self.bth, self.reth, self.aeth,
-         self.payload_len, self.icrc_ok, self.packet_id,
-         self.is_mirror) = state
-        self._packed_headers = None
-        self._icrc_clean = None
-        self._wire_size = None
 
     # ------------------------------------------------------------------
     # Size accounting
@@ -209,28 +192,8 @@ class Packet:
     # ------------------------------------------------------------------
     # Wire representation
     # ------------------------------------------------------------------
-    def invalidate_wire_cache(self) -> None:
-        """Drop cached wire bytes after a header field mutation.
-
-        Every path that rewrites headers in place (the event injector's
-        ECN mark, rewrite rules, the mirror block's metadata stamping)
-        must call this; construction and :meth:`copy` start clean.
-        ``icrc_ok`` flips need no invalidation — the corruption xor is
-        applied per call on top of the cached clean CRC.
-        """
-        self._packed_headers = None
-        self._icrc_clean = None
-        self._wire_size = None
-
     def pack_headers(self) -> bytes:
         """Serialise all headers to wire bytes (no payload, no iCRC)."""
-        data = self._packed_headers
-        if data is not None:
-            global _pack_cache_hits
-            # repro-lint: ignore[RACE001] — perf counter read as per-run
-            # deltas by the orchestrator's telemetry; worker-local by design.
-            _pack_cache_hits += 1  # repro-lint: ignore[RACE001]
-            return data
         data = self.eth.pack()
         if self.ip is not None:
             data += self.ip.pack()
@@ -242,26 +205,25 @@ class Packet:
             data += self.reth.pack()
         if self.aeth is not None:
             data += self.aeth.pack()
-        self._packed_headers = data
         return data
 
     def icrc(self) -> int:
         """iCRC over transport headers + virtual payload.
 
         Returns a value that will not match the recomputed CRC when the
-        packet has been corrupted in flight (``icrc_ok`` is False).
+        packet has been corrupted in flight (``icrc_ok`` is False). No
+        run calls this: corruption is modelled by ``icrc_ok`` alone.
+        The golden tests pin its values, and the frozen per-layer probe
+        in ``benchmarks/e2e/e2e_layers.py`` patches it.
         """
-        value = self._icrc_clean
-        if value is None:
-            transport = b""
-            if self.bth is not None:
-                transport += self.bth.pack()
-            if self.reth is not None:
-                transport += self.reth.pack()
-            if self.aeth is not None:
-                transport += self.aeth.pack()
-            value = icrc_for(transport, self.payload_len)
-            self._icrc_clean = value
+        transport = b""
+        if self.bth is not None:
+            transport += self.bth.pack()
+        if self.reth is not None:
+            transport += self.reth.pack()
+        if self.aeth is not None:
+            transport += self.aeth.pack()
+        value = icrc_for(transport, self.payload_len)
         if not self.icrc_ok:
             value ^= 0xDEADBEEF  # any bit flip invalidates the CRC
         return value
@@ -289,8 +251,6 @@ class Packet:
         clone.icrc_ok = self.icrc_ok
         clone.packet_id = next(_packet_ids)
         clone.is_mirror = self.is_mirror
-        clone._packed_headers = None
-        clone._icrc_clean = None
         clone._wire_size = self._wire_size
         return clone
 

@@ -122,5 +122,4 @@ class RewriteRule:
     def apply(self, packet: Packet) -> None:
         if self.field_name == "migreq":
             packet.bth.migreq = bool(self.value)
-            packet.invalidate_wire_cache()
         self.hits += 1

@@ -114,8 +114,6 @@ class MirrorBlock:
         eth.dst_mac = now_ns & _MASK48
         if self.randomize_udp_port and clone.udp is not None:
             clone.udp.dst_port = self._rng.ephemeral_port()
-        # No invalidate_wire_cache(): copy() starts with cold caches and
-        # nothing above can have warmed them.
         self.mirror_seq += 1
         self.mirrored_packets += 1
         target = self._pick_target()

@@ -191,7 +191,6 @@ class TofinoSwitch(Node):
             if entry.action == EventAction.ECN:
                 self.ecn_marked_by_event += 1
                 packet.ip.ecn = ECN_CE
-                packet.invalidate_wire_cache()
             elif entry.action == EventAction.CORRUPT:
                 self.corrupted_by_event += 1
                 packet.icrc_ok = False
@@ -238,7 +237,6 @@ class TofinoSwitch(Node):
                     and ip.ecn != ECN_CE
                     and out_port.queued_bytes > self.ecn_threshold_bytes):
                 ip.ecn = ECN_CE
-                packet.invalidate_wire_cache()
                 self.ecn_marked_by_queue += 1
                 self._cov.hit("queue-ecn-mark", self.sim.now)
         out_port.send(packet)
