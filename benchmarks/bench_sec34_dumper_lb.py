@@ -83,7 +83,7 @@ def test_sec34_weak_pooled_servers(benchmark):
     result = run_capture(True, num_servers=4, seed=70, cores=3)
     per_server = {}
     for pkt in result.trace:
-        per_server[pkt.record.server] = per_server.get(pkt.record.server, 0) + 1
+        per_server[pkt.server] = per_server.get(pkt.server, 0) + 1
     lines = [f"4 weak servers (3 cores each): integrity "
              f"{'PASS' if result.integrity.ok else 'FAIL'}",
              f"records per server: {dict(sorted(per_server.items()))}"]

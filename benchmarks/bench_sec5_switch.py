@@ -130,9 +130,10 @@ def test_sec5_simulator_throughput(benchmark):
     result = run_test(config)
     elapsed = time.perf_counter() - start
     pps = len(result.trace) / elapsed
-    emit("sec5_simulator_throughput",
-         [f"{len(result.trace)} packets in {elapsed:.2f} s "
-          f"({pps / 1e3:.0f} Kpps simulated)"])
+    # The results file keeps only the deterministic count; the
+    # wall-clock rate varies per host and is printed instead.
+    emit("sec5_simulator_throughput", [f"{len(result.trace)} packets"])
+    print(f"{elapsed:.2f} s ({pps / 1e3:.0f} Kpps simulated)")
     assert pps > 1_000
 
     benchmark.pedantic(run_test, args=(config,), rounds=2, iterations=1)

@@ -62,17 +62,17 @@ def main() -> None:
 
     print("step 3: inspect the dumped trace")
     sample = broken.trace.data_packets()[0]
-    print(f"  first data packet from {int_to_ip(sample.record.ip.src_ip)}: "
-          f"MigReq={int(sample.record.bth.migreq)}")
+    print(f"  first data packet from {int_to_ip(sample.ip.src_ip)}: "
+          f"MigReq={int(sample.bth.migreq)}")
     control_pkt = control.trace.data_packets()[0]
     print(f"  CX5-generated packets carry MigReq="
-          f"{int(control_pkt.record.bth.migreq)} "
+          f"{int(control_pkt.bth.migreq)} "
           f"(IB spec initial state: 1)")
     print("  hypothesis: MigReq=0 triggers a slow path in CX5's APM logic")
 
     print("step 4: extend the injector - rewrite MigReq=1 for E810 traffic")
     fix = RewriteRule(field_name="migreq", value=1,
-                      src_ip=sample.record.ip.src_ip)
+                      src_ip=sample.ip.src_ip)
     fixed = Orchestrator(build_config("e810", "cx5"),
                          rewrite_rules=[fix]).run()
     report("  with fix ", fixed)

@@ -54,13 +54,13 @@ def _analyze_cnps(trace: PacketTrace) -> CnpReport:
     for pkt in trace:
         if pkt.is_data and pkt.was_ecn_marked:
             report.total_ecn_marked += 1
-            key = (pkt.record.ip.dst_ip, pkt.record.ip.src_ip)  # NP ip, RP ip
+            key = (pkt.ip.dst_ip, pkt.ip.src_ip)  # NP ip, RP ip
             marked_times.setdefault(key, []).append(pkt.timestamp_ns)
     for pkt in trace.cnps():
         report.total_cnps += 1
-        np_ip = pkt.record.ip.src_ip
-        rp_ip = pkt.record.ip.dst_ip
-        stream = (np_ip, rp_ip, pkt.record.dest_qp)
+        np_ip = pkt.ip.src_ip
+        rp_ip = pkt.ip.dst_ip
+        stream = (np_ip, rp_ip, pkt.dest_qp)
         report.streams.setdefault(stream, []).append(pkt.timestamp_ns)
         marks = marked_times.get((np_ip, rp_ip), [])
         if not any(t <= pkt.timestamp_ns for t in marks):

@@ -95,20 +95,20 @@ def expected_counters(trace: PacketTrace, host_ips: set) -> Dict[str, int]:
     """Counter values implied by the wire trace for one host."""
     counts = _replay_receiver(trace, host_ips)
     counts["cnp_sent"] = sum(
-        1 for p in trace.cnps() if p.record.ip.src_ip in host_ips
+        1 for p in trace.cnps() if p.ip.src_ip in host_ips
     )
     counts["cnp_handled"] = sum(
-        1 for p in trace.cnps() if p.record.ip.dst_ip in host_ips
+        1 for p in trace.cnps() if p.ip.dst_ip in host_ips
     )
     counts["ecn_marked_packets"] = sum(
         1 for p in trace
-        if p.is_data and p.was_ecn_marked and p.record.ip.dst_ip in host_ips
+        if p.is_data and p.was_ecn_marked and p.ip.dst_ip in host_ips
     )
     counts["nak_sent"] = sum(
-        1 for p in trace.naks() if p.record.ip.src_ip in host_ips
+        1 for p in trace.naks() if p.ip.src_ip in host_ips
     )
     counts["packet_seq_err"] = sum(
-        1 for p in trace.naks() if p.record.ip.dst_ip in host_ips
+        1 for p in trace.naks() if p.ip.dst_ip in host_ips
     )
     return counts
 

@@ -102,7 +102,7 @@ def _control_events_for(trace: PacketTrace, conn_key: Tuple[int, int, int],
     out: List[TracePacket] = []
     highest_request: Optional[int] = None
     for pkt in trace:
-        if pkt.record.ip.src_ip != dst_ip or pkt.record.ip.dst_ip != src_ip:
+        if pkt.ip.src_ip != dst_ip or pkt.ip.dst_ip != src_ip:
             continue
         if psn_window is not None and \
                 not _in_psn_window(pkt.psn, psn_window[0], psn_window[1]):
@@ -111,17 +111,17 @@ def _control_events_for(trace: PacketTrace, conn_key: Tuple[int, int, int],
             # A re-issued Read request revisits already-requested PSN
             # space; first-time requests always move the high-water mark
             # forward (a request consumes the whole response range).
-            if pkt.opcode != Opcode.RDMA_READ_REQUEST or pkt.record.reth is None:
+            if pkt.opcode != Opcode.RDMA_READ_REQUEST or pkt.reth is None:
                 continue
             if highest_request is not None and \
                     not _psn_later(pkt.psn, highest_request):
                 out.append(pkt)
             else:
-                npkts = max(1, (pkt.record.reth.dma_length + mtu - 1) // mtu)
+                npkts = max(1, (pkt.reth.dma_length + mtu - 1) // mtu)
                 highest_request = (pkt.psn + npkts - 1) & _PSN_MASK
         else:
-            if pkt.opcode == Opcode.ACKNOWLEDGE and pkt.record.aeth is not None \
-                    and pkt.record.aeth.is_nak:
+            if pkt.opcode == Opcode.ACKNOWLEDGE and pkt.aeth is not None \
+                    and pkt.aeth.is_nak:
                 out.append(pkt)
     return out
 

@@ -63,13 +63,13 @@ def ack_rtt_samples(trace: PacketTrace) -> Dict[Tuple[int, int, int], List[int]]
         if pkt.is_data and pkt.opcode.is_last and not pkt.opcode.is_read_response:
             pending.setdefault(pkt.conn_key, []).append(pkt)
             continue
-        if pkt.opcode != Opcode.ACKNOWLEDGE or pkt.record.aeth is None \
-                or not pkt.record.aeth.is_ack:
+        if pkt.opcode != Opcode.ACKNOWLEDGE or pkt.aeth is None \
+                or not pkt.aeth.is_ack:
             continue
         # Reverse direction: match the ACK to its data connection.
         for conn_key, lasts in pending.items():
             src, dst, _qpn = conn_key
-            if pkt.record.ip.src_ip != dst or pkt.record.ip.dst_ip != src:
+            if pkt.ip.src_ip != dst or pkt.ip.dst_ip != src:
                 continue
             covered = [p for p in lasts if _psn_le(p.psn, pkt.psn)]
             if not covered:
@@ -93,11 +93,11 @@ def read_service_samples(trace: PacketTrace) -> List[int]:
     samples: List[int] = []
     for pkt in trace:
         if pkt.opcode == Opcode.RDMA_READ_REQUEST:
-            key = (pkt.record.ip.src_ip, pkt.record.ip.dst_ip, pkt.psn)
+            key = (pkt.ip.src_ip, pkt.ip.dst_ip, pkt.psn)
             requests.setdefault(key[:2] + (pkt.psn,), []).append(pkt)
         elif pkt.opcode in (Opcode.RDMA_READ_RESPONSE_FIRST,
                             Opcode.RDMA_READ_RESPONSE_ONLY):
-            key = (pkt.record.ip.dst_ip, pkt.record.ip.src_ip, pkt.psn)
+            key = (pkt.ip.dst_ip, pkt.ip.src_ip, pkt.psn)
             queue = requests.get(key)
             if queue:
                 request = queue.pop(0)
@@ -116,5 +116,5 @@ def stream_rate_bps(trace: PacketTrace,
     elapsed = window[-1].timestamp_ns - window[0].timestamp_ns
     if elapsed <= 0:
         return None
-    payload_bits = sum(p.record.payload_len * 8 for p in window[1:])
+    payload_bits = sum(p.payload_len * 8 for p in window[1:])
     return payload_bits / elapsed * 1e9

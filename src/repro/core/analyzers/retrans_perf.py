@@ -82,7 +82,7 @@ def _find_nack_for_write(trace: PacketTrace, drop: TracePacket,
     """The Go-back-N NAK: reverse direction, AETH NAK, PSN == dropped."""
     src_ip, dst_ip, _ = drop.conn_key
     for pkt in trace.naks():
-        if pkt.record.ip.src_ip == dst_ip and pkt.record.ip.dst_ip == src_ip \
+        if pkt.ip.src_ip == dst_ip and pkt.ip.dst_ip == src_ip \
                 and pkt.psn == drop.psn and pkt.timestamp_ns >= after_ns:
             return pkt
     return None
@@ -93,7 +93,7 @@ def _find_nack_for_read(trace: PacketTrace, drop: TracePacket,
     """Read's implied NACK: a re-issued Read request for the missing PSN."""
     src_ip, dst_ip, _ = drop.conn_key  # data flows responder -> requester
     for pkt in trace.by_opcode(Opcode.RDMA_READ_REQUEST):
-        if pkt.record.ip.src_ip == dst_ip and pkt.record.ip.dst_ip == src_ip \
+        if pkt.ip.src_ip == dst_ip and pkt.ip.dst_ip == src_ip \
                 and pkt.psn == drop.psn and pkt.timestamp_ns >= after_ns:
             return pkt
     return None

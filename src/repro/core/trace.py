@@ -9,9 +9,13 @@ sequence number. Integrity requires all three paper conditions:
 3. the switch received exactly N RoCE packets (so nothing escaped
    mirroring and nothing was mirrored twice).
 
-A trace also re-derives the ITER number of every packet offline using
-the same Fig. 3 algorithm the data plane runs, which is what lets the
-analyzers tell retransmissions apart.
+Each trace entry keeps its record's trimmed bytes exactly as the dumper
+captured them — the store writes those bytes back unchanged — next to
+the headers decoded from them, including the switch-embedded metadata
+(event type from TTL, mirror sequence from the source MAC, switch
+timestamp from the destination MAC). A trace also re-derives the ITER
+number of every packet offline using the same Fig. 3 algorithm the data
+plane runs, which is what lets the analyzers tell retransmissions apart.
 """
 
 from __future__ import annotations
@@ -19,75 +23,145 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..dumper.records import DumpRecord, ParsedRecord, parse_record
-from ..net.headers import Opcode
+from ..dumper.records import DumpRecord
+from ..net.headers import (
+    AckExtendedHeader,
+    AETH_LEN,
+    BaseTransportHeader,
+    BTH_LEN,
+    EthernetHeader,
+    ETH_HEADER_LEN,
+    ICRC_LEN,
+    Ipv4Header,
+    IPV4_HEADER_LEN,
+    Opcode,
+    RdmaExtendedHeader,
+    RETH_LEN,
+    UDP_HEADER_LEN,
+    UdpHeader,
+)
 from ..net.packet import EventType
 from ..switch.itertrack import IterTracker
 
 __all__ = ["TracePacket", "TraceGap", "PacketTrace", "IntegrityReport",
-           "reconstruct_trace", "check_integrity", "format_trace"]
+           "parse_record", "reconstruct_trace", "check_integrity",
+           "format_trace"]
+
+#: Opcodes whose packets carry a RETH.
+_RETH_OPCODES = frozenset({
+    Opcode.RDMA_WRITE_FIRST,
+    Opcode.RDMA_WRITE_ONLY,
+    Opcode.RDMA_READ_REQUEST,
+})
+
+#: Opcodes whose packets carry an AETH.
+_AETH_OPCODES = frozenset({
+    Opcode.ACKNOWLEDGE,
+    Opcode.RDMA_READ_RESPONSE_FIRST,
+    Opcode.RDMA_READ_RESPONSE_LAST,
+    Opcode.RDMA_READ_RESPONSE_ONLY,
+})
 
 
 class TracePacket:
-    """One trace entry: a parsed record plus its offline-derived ITER.
+    """One trace entry: a captured record, its headers and its ITER.
 
+    ``raw`` is the record's trimmed bytes as captured; the headers are
+    a function of them, so equality compares the record and ITER only.
     Slotted by hand: one instance per captured packet is built during
-    trace reconstruction. Semantics match the dataclass it replaced.
+    trace reconstruction.
     """
 
-    __slots__ = ("record", "iteration")
+    __slots__ = ("raw", "rx_time_ns", "server", "core", "eth", "ip", "udp",
+                 "bth", "reth", "aeth", "payload_len", "iteration")
     __hash__ = None
 
-    def __init__(self, record: ParsedRecord, iteration: int):
-        self.record = record
+    def __init__(self,
+                 raw: bytes,
+                 rx_time_ns: int,
+                 server: str,
+                 core: int,
+                 eth: EthernetHeader,
+                 ip: Ipv4Header,
+                 udp: UdpHeader,
+                 bth: BaseTransportHeader,
+                 reth: Optional[RdmaExtendedHeader],
+                 aeth: Optional[AckExtendedHeader],
+                 payload_len: int,
+                 iteration: int):
+        self.raw = raw
+        self.rx_time_ns = rx_time_ns
+        self.server = server
+        self.core = core
+        self.eth = eth
+        self.ip = ip
+        self.udp = udp
+        self.bth = bth
+        self.reth = reth
+        self.aeth = aeth
+        self.payload_len = payload_len
         self.iteration = iteration
 
     def __eq__(self, other: object) -> object:
         if other.__class__ is not TracePacket:
             return NotImplemented
-        return (self.record == other.record
+        return (self.raw == other.raw
+                and self.rx_time_ns == other.rx_time_ns
+                and self.server == other.server
+                and self.core == other.core
                 and self.iteration == other.iteration)
 
     def __repr__(self) -> str:
-        return (f"TracePacket(record={self.record!r}, "
-                f"iteration={self.iteration!r})")
+        return (f"TracePacket(raw={self.raw!r}, "
+                f"rx_time_ns={self.rx_time_ns!r}, server={self.server!r}, "
+                f"core={self.core!r}, iteration={self.iteration!r})")
 
-    # Convenience pass-throughs used heavily by the analyzers.
+    # -- switch-embedded metadata (§3.4) --------------------------------
     @property
-    def opcode(self) -> Opcode:
-        return self.record.opcode
-
-    @property
-    def psn(self) -> int:
-        return self.record.psn
+    def mirror_seq(self) -> int:
+        return self.eth.src_mac
 
     @property
     def timestamp_ns(self) -> int:
-        return self.record.switch_timestamp_ns
-
-    @property
-    def mirror_seq(self) -> int:
-        return self.record.mirror_seq
+        return self.eth.dst_mac
 
     @property
     def event_type(self) -> int:
-        return self.record.event_type
+        return self.ip.ttl
 
     @property
-    def conn_key(self) -> Tuple[int, int, int]:
-        return self.record.conn_key
-
-    @property
-    def is_data(self) -> bool:
-        return self.record.opcode.is_data
+    def event_name(self) -> str:
+        return EventType.NAMES.get(self.event_type, f"unknown({self.event_type})")
 
     @property
     def was_dropped(self) -> bool:
-        return self.record.event_type == EventType.DROP
+        return self.ip.ttl == EventType.DROP
 
     @property
     def was_ecn_marked(self) -> bool:
-        return self.record.event_type == EventType.ECN
+        return self.ip.ttl == EventType.ECN
+
+    # -- transport ------------------------------------------------------
+    @property
+    def opcode(self) -> Opcode:
+        return self.bth.opcode
+
+    @property
+    def psn(self) -> int:
+        return self.bth.psn
+
+    @property
+    def dest_qp(self) -> int:
+        return self.bth.dest_qp
+
+    @property
+    def is_data(self) -> bool:
+        return self.bth.opcode.is_data
+
+    @property
+    def conn_key(self) -> Tuple[int, int, int]:
+        """The directed-connection key the switch tracks ITER by."""
+        return (self.ip.src_ip, self.ip.dst_ip, self.bth.dest_qp)
 
 
 @dataclass(frozen=True)
@@ -200,7 +274,7 @@ class PacketTrace:
 
     def naks(self) -> List[TracePacket]:
         return [p for p in self.acks()
-                if p.record.aeth is not None and p.record.aeth.is_nak]
+                if p.aeth is not None and p.aeth.is_nak]
 
     def find(self, conn_key: Tuple[int, int, int], psn: int,
              iteration: int = 1) -> Optional[TracePacket]:
@@ -318,26 +392,67 @@ def format_trace(trace: PacketTrace, limit: Optional[int] = None,
             lines.append(f"... ({len(trace) - shown} more packets)")
             break
         shown += 1
-        record = pkt.record
         event = ""
         if pkt.event_type != EventType.NONE:
-            event = f"  [{record.event_name.upper()}]"
+            event = f"  [{pkt.event_name.upper()}]"
         extra = ""
-        if record.aeth is not None:
-            if record.aeth.is_nak:
+        if pkt.aeth is not None:
+            if pkt.aeth.is_nak:
                 extra = " NAK"
-            elif record.aeth.is_rnr:
+            elif pkt.aeth.is_rnr:
                 extra = " RNR"
             elif pkt.opcode == Opcode.ACKNOWLEDGE:
                 extra = " ACK"
         lines.append(
             f"{pkt.timestamp_ns / 1e3:12.3f}us #{pkt.mirror_seq:<6d} "
-            f"{int_to_ip(record.ip.src_ip):>11s} > "
-            f"{int_to_ip(record.ip.dst_ip):<11s} "
+            f"{int_to_ip(pkt.ip.src_ip):>11s} > "
+            f"{int_to_ip(pkt.ip.dst_ip):<11s} "
             f"{pkt.opcode.name:<26s} psn={pkt.psn:<8d} "
             f"iter={pkt.iteration}{extra}{event}"
         )
     return "\n".join(lines)
+
+
+def parse_record(record: DumpRecord,
+                 tracker: Optional[IterTracker] = None) -> TracePacket:
+    """Decode a trimmed record into a trace entry that keeps its bytes.
+
+    ``tracker`` derives the entry's ITER (records must then come in
+    mirror-seq order); without one, ITER is 0. Raises ValueError on
+    records that are not RoCEv2 (the dumpers only ever receive mirrored
+    RoCE traffic, so this indicates corruption).
+    """
+    raw = record.raw
+    # Offset-based unpack_from all the way down: no per-header slices.
+    eth = EthernetHeader.unpack(raw)
+    offset = ETH_HEADER_LEN
+    ip = Ipv4Header.unpack(raw, offset)
+    offset += IPV4_HEADER_LEN
+    udp = UdpHeader.unpack(raw, offset)
+    offset += UDP_HEADER_LEN
+    bth = BaseTransportHeader.unpack(raw, offset)
+    offset += BTH_LEN
+    reth = None
+    aeth = None
+    opcode = bth.opcode
+    if opcode in _RETH_OPCODES:
+        reth = RdmaExtendedHeader.unpack(raw, offset)
+    elif opcode in _AETH_OPCODES:
+        aeth = AckExtendedHeader.unpack(raw, offset)
+    ext_len = (RETH_LEN if reth is not None else 0) + (AETH_LEN if aeth is not None else 0)
+    payload_len = ip.total_length - IPV4_HEADER_LEN - UDP_HEADER_LEN - BTH_LEN \
+        - ext_len - ICRC_LEN
+    if payload_len < 0:
+        payload_len = 0
+    iteration = 0 if tracker is None else \
+        tracker.update(ip.src_ip, ip.dst_ip, bth.dest_qp, bth.psn)
+    return TracePacket(raw, record.rx_time_ns, record.server, record.core,
+                       eth, ip, udp, bth, reth, aeth, payload_len, iteration)
+
+
+def _mirror_seq(record: DumpRecord) -> int:
+    """The mirror seq the switch wrote into a record's source MAC."""
+    return int.from_bytes(record.raw[6:12], "big")
 
 
 def reconstruct_trace(records: Iterable[DumpRecord],
@@ -351,17 +466,10 @@ def reconstruct_trace(records: Iterable[DumpRecord],
     ``record_coverage=False`` keeps the ITER re-derivation out of the
     live coverage map — for traces that are reloaded, not captured.
     """
-    parsed = sorted((parse_record(r) for r in records), key=lambda p: p.mirror_seq)
     tracker = IterTracker(max_connections=1_000_000,
                           record_coverage=record_coverage)
-    packets = []
-    append = packets.append
-    update = tracker.update
-    for record in parsed:
-        ip = record.ip
-        bth = record.bth
-        append(TracePacket(record,
-                           update(ip.src_ip, ip.dst_ip, bth.dest_qp, bth.psn)))
+    packets = [parse_record(record, tracker)
+               for record in sorted(records, key=_mirror_seq)]
     return PacketTrace(packets=packets, expected_packets=expected_packets)
 
 
@@ -378,7 +486,7 @@ def check_integrity(trace: PacketTrace, switch_counters: Dict) -> IntegrityRepor
     roce_rx = int(switch_counters.get("roce_rx_packets", 0))
     expected_count = mirrored if mirrored else len(seqs)
     missing = sorted(set(range(expected_count)) - set(seqs))
-    consecutive = seqs == list(range(len(seqs))) and len(set(seqs)) == len(seqs)
+    consecutive = seqs == list(range(len(seqs)))
     return IntegrityReport(
         seq_consecutive=consecutive,
         mirror_count_matches=(mirrored == len(seqs)),

@@ -3,11 +3,9 @@
 Everything the store replays — full :class:`TestResult` objects, fuzz
 scores, suite check verdicts, fuzz reports — round-trips through plain
 JSON dicts such that ``decode(encode(x)) == x`` under dataclass
-equality. The trace is the subtle part: parsed records carry no raw
-bytes, but every byte of a trimmed dump record is reconstructible from
-its headers (payloads are zeroed on capture, §5), so records are
-stored as hex wire bytes and reloaded through the same
-:func:`~repro.core.trace.reconstruct_trace` path a live run uses —
+equality. Trace entries keep their trimmed records' bytes as captured,
+so records are stored as those hex wire bytes and reloaded through the
+same :func:`~repro.core.trace.reconstruct_trace` path a live run uses —
 ITER derivation included, so a replayed trace is indistinguishable
 from a fresh one.
 """
@@ -21,8 +19,7 @@ from ..core.intent import QpMetadata
 from ..core.results import AttemptRecord, HostCounters, TestResult
 from ..core.trace import IntegrityReport, PacketTrace, reconstruct_trace
 from ..core.trafficgen import MessageRecord, QpStats, TrafficGenLog
-from ..dumper.records import TRIM_BYTES, DumpRecord, ParsedRecord
-from ..net.headers import ETH_HEADER_LEN
+from ..dumper.records import DumpRecord
 from ..rdma.verbs import Verb, WcStatus
 
 __all__ = [
@@ -90,34 +87,14 @@ def unwrap_document(data: Dict, kind: Optional[str] = None,
 # Trace records
 # ---------------------------------------------------------------------------
 
-def _record_raw(rec: ParsedRecord) -> bytes:
-    """Rebuild a record's trimmed wire bytes from its parsed headers.
-
-    Mirrors :func:`repro.dumper.records.make_record`: headers packed
-    back to back, zero-padded to the trimmed wire length
-    ``min(TRIM_BYTES, eth + ip.total_length)`` — payload bytes are
-    zeroed at capture time, so nothing is lost.
-    """
-    parts = [rec.eth.pack(), rec.ip.pack(), rec.udp.pack(), rec.bth.pack()]
-    if rec.reth is not None:
-        parts.append(rec.reth.pack())
-    if rec.aeth is not None:
-        parts.append(rec.aeth.pack())
-    headers = b"".join(parts)
-    wire_len = min(TRIM_BYTES, ETH_HEADER_LEN + rec.ip.total_length)
-    if len(headers) >= wire_len:
-        return headers[:wire_len]
-    return headers + bytes(wire_len - len(headers))
-
-
 def _encode_trace(trace: PacketTrace) -> Dict:
     return {
         "expected-packets": trace.expected_packets,
         "records": [
-            {"raw": _record_raw(p.record).hex(),
-             "rx-time-ns": p.record.rx_time_ns,
-             "server": p.record.server,
-             "core": p.record.core}
+            {"raw": p.raw.hex(),
+             "rx-time-ns": p.rx_time_ns,
+             "server": p.server,
+             "core": p.core}
             for p in trace.packets
         ],
     }

@@ -151,12 +151,12 @@ class TestInteroperability:
     def test_e810_sends_migreq_zero(self):
         result = _interop_result("e810", "cx5", qps=2)
         data = result.trace.data_packets()
-        assert data and all(not p.record.bth.migreq for p in data)
+        assert data and all(not p.bth.migreq for p in data)
 
     def test_cx5_sends_migreq_one(self):
         result = _interop_result("cx5", "cx5", qps=2)
         data = result.trace.data_packets()
-        assert data and all(p.record.bth.migreq for p in data)
+        assert data and all(p.bth.migreq for p in data)
 
     def test_few_qps_are_fine(self):
         result = _interop_result("e810", "cx5", qps=8)

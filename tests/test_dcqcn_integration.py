@@ -92,7 +92,7 @@ class TestReadCongestion:
         # CNPs flow requester -> responder (toward the data sender).
         meta = result.metadata[0]
         for cnp in result.trace.cnps():
-            assert cnp.record.ip.src_ip == meta.requester_ip
-            assert cnp.record.ip.dst_ip == meta.responder_ip
+            assert cnp.ip.src_ip == meta.requester_ip
+            assert cnp.ip.dst_ip == meta.responder_ip
         assert result.requester_counters["cnp_sent"] > 0
         assert result.responder_counters["cnp_handled"] > 0

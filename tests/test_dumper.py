@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.dumper.records import (
-    TRIM_BYTES,
-    DumpRecord,
-    make_record,
-    parse_record,
-)
+from repro.core.trace import parse_record
+from repro.dumper.records import TRIM_BYTES, DumpRecord, make_record
 from repro.dumper.server import DumperServer
 from repro.net.addressing import ROCEV2_UDP_PORT
 from repro.net.headers import (
@@ -81,7 +77,7 @@ class TestRecords:
                                  event=EventType.DROP)
         parsed = parse_record(make_record(packet, 1, "d0", 0))
         assert parsed.mirror_seq == 17
-        assert parsed.switch_timestamp_ns == 123456
+        assert parsed.timestamp_ns == 123456
         assert parsed.event_type == EventType.DROP
         assert parsed.event_name == "drop"
 

@@ -73,7 +73,7 @@ class TestLoadBalancing:
         assert result.integrity.ok
         per_server = {}
         for pkt in result.trace:
-            per_server[pkt.record.server] = per_server.get(pkt.record.server, 0) + 1
+            per_server[pkt.server] = per_server.get(pkt.server, 0) + 1
         assert len(per_server) == 3
         counts = sorted(per_server.values())
         assert counts[0] > 0.5 * counts[-1]  # roughly even WRR split

@@ -92,7 +92,7 @@ class TestDcqcnIncast:
         assert dcqcn_marked.fairness > 0.9
 
     def test_cnps_reach_every_sender(self, dcqcn_marked):
-        cnp_targets = {p.record.ip.dst_ip for p in dcqcn_marked.trace.cnps()}
+        cnp_targets = {p.ip.dst_ip for p in dcqcn_marked.trace.cnps()}
         assert len(cnp_targets) == 4
 
 

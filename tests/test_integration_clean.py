@@ -73,7 +73,7 @@ class TestCleanSend:
 
     def test_send_has_no_reth(self):
         result = run_scenario(verb="send", num_msgs=1, message_size=2048)
-        assert all(p.record.reth is None for p in result.trace.data_packets())
+        assert all(p.reth is None for p in result.trace.data_packets())
 
 
 class TestCleanRead:
@@ -99,8 +99,8 @@ class TestCleanRead:
     def test_read_requests_carry_reth(self):
         result = run_scenario(verb="read", num_msgs=1, message_size=4096)
         request = result.trace.by_opcode(Opcode.RDMA_READ_REQUEST)[0]
-        assert request.record.reth is not None
-        assert request.record.reth.dma_length == 4096
+        assert request.reth is not None
+        assert request.reth.dma_length == 4096
 
     def test_no_acks_for_read(self):
         result = run_scenario(verb="read", num_msgs=2, message_size=4096)

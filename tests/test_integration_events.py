@@ -118,8 +118,8 @@ class TestDropOnRead:
                               events=(drop(psn=2),), seed=8)
         dropped = next(p for p in result.trace if p.was_dropped)
         meta = result.metadata[0]
-        assert dropped.record.ip.src_ip == meta.responder_ip
-        assert dropped.record.ip.dst_ip == meta.requester_ip
+        assert dropped.ip.src_ip == meta.responder_ip
+        assert dropped.ip.dst_ip == meta.requester_ip
         assert dropped.opcode.is_read_response
 
 
@@ -138,9 +138,9 @@ class TestEcnInjection:
         assert len(cnps) == 1
         meta = result.metadata[0]
         # CNP flows from the NP (responder) back to the RP (requester).
-        assert cnps[0].record.ip.src_ip == meta.responder_ip
-        assert cnps[0].record.ip.dst_ip == meta.requester_ip
-        assert cnps[0].record.dest_qp == meta.requester_qpn
+        assert cnps[0].ip.src_ip == meta.responder_ip
+        assert cnps[0].ip.dst_ip == meta.requester_ip
+        assert cnps[0].dest_qp == meta.requester_qpn
 
     def test_counters_track_marks_and_cnps(self):
         result = run_scenario(verb="write", num_msgs=2, message_size=4096,

@@ -1,11 +1,16 @@
 """Property-based tests (hypothesis) for core data structures/invariants."""
 
+import copy
+from functools import lru_cache
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import drop, run_scenario
 from repro.core.config import DataPacketEvent, TrafficConfig
 from repro.core.fuzz.mutate import mutate
-from repro.core.trace import reconstruct_trace
-from repro.dumper.records import make_record, parse_record
+from repro.core.trace import parse_record, reconstruct_trace
+from repro.dumper.records import DumpRecord, make_record
 from repro.net.addressing import int_to_ip, int_to_mac, ip_to_int, mac_to_int
 from repro.net.headers import (
     AckExtendedHeader,
@@ -20,6 +25,7 @@ from repro.net.packet import Packet
 from repro.rdma.qp import psn_add, psn_distance, psn_geq
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRandom
+from repro.store.serialize import decode_result, encode_result
 from repro.switch.itertrack import IterTracker
 
 psn_values = st.integers(min_value=0, max_value=0xFFFFFF)
@@ -188,9 +194,51 @@ class TestRecordRoundtrip:
         assert parsed.psn == psn
         assert parsed.dest_qp == qpn
         assert parsed.mirror_seq == seq
-        assert parsed.switch_timestamp_ns == stamp
+        assert parsed.timestamp_ns == stamp
         assert parsed.event_type == event
         assert parsed.payload_len == payload
+
+
+@lru_cache(maxsize=None)
+def _captured_records():
+    """Stored document and records of a real lossy cx5 WRITE run."""
+    result = run_scenario(nic="cx5", verb="write", num_msgs=2,
+                          message_size=4096, events=(drop(psn=2),), seed=7)
+    doc = encode_result(result)
+    return doc, [bytes.fromhex(r["raw"]) for r in doc["trace"]["records"]]
+
+
+def _decodes_or_value_error(raw: bytes) -> None:
+    try:
+        parse_record(DumpRecord(raw, 0, "d0", 0))
+    except ValueError:
+        pass
+
+
+class TestMalformedRecords:
+    """The record decoder raises ValueError on any malformed input."""
+
+    def test_every_truncation(self):
+        for raw in _captured_records()[1][:8]:
+            for length in range(len(raw) + 1):
+                _decodes_or_value_error(raw[:length])
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_flips(self, data):
+        raw = bytearray(data.draw(st.sampled_from(_captured_records()[1])))
+        flips = data.draw(st.lists(
+            st.integers(0, len(raw) * 8 - 1), min_size=1, max_size=16))
+        for bit in flips:
+            raw[bit // 8] ^= 1 << (bit % 8)
+        _decodes_or_value_error(bytes(raw))
+
+    @pytest.mark.parametrize("bad", ["abc", "zz" * 40, "0g" + "00" * 40])
+    def test_stored_raw_must_be_hex(self, bad):
+        doc = copy.deepcopy(_captured_records()[0])
+        doc["trace"]["records"][0]["raw"] = bad
+        with pytest.raises(ValueError):
+            decode_result(doc)
 
 
 class TestTraceReconstruction:

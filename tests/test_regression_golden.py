@@ -12,23 +12,34 @@ and update the constant together with the change that justified it.
 """
 
 import hashlib
+import json
+
+import pytest
 
 from conftest import drop, ecn, run_scenario
+from repro.core.orchestrator import run_test
+from repro.faults.scenarios import get_scenario
+from repro.net.headers import ETH_HEADER_LEN
+from repro.store.serialize import encode_result
+
+#: Digest of the stored document of :func:`canonical` (see
+#: :func:`document_digest`): pins the campaign store's bytes, trace
+#: records included.
+CANONICAL_DOCUMENT_DIGEST = "2839ca1d97a0057e"
 
 
 def digest_of(result) -> str:
     """Stable digest over the wire-visible content of a trace."""
     hasher = hashlib.sha256()
     for pkt in result.trace:
-        record = pkt.record
-        hasher.update(record.eth.pack())
-        hasher.update(record.ip.pack())
-        hasher.update(record.udp.pack())
-        hasher.update(record.bth.pack())
-        if record.reth is not None:
-            hasher.update(record.reth.pack())
-        if record.aeth is not None:
-            hasher.update(record.aeth.pack())
+        hasher.update(pkt.eth.pack())
+        hasher.update(pkt.ip.pack())
+        hasher.update(pkt.udp.pack())
+        hasher.update(pkt.bth.pack())
+        if pkt.reth is not None:
+            hasher.update(pkt.reth.pack())
+        if pkt.aeth is not None:
+            hasher.update(pkt.aeth.pack())
         hasher.update(pkt.timestamp_ns.to_bytes(8, "big"))
         hasher.update(pkt.iteration.to_bytes(2, "big"))
     return hasher.hexdigest()[:16]
@@ -43,11 +54,59 @@ def canonical(seed=1001):
                         events=(drop(psn=5), ecn(psn=3)), seed=seed)
 
 
+def document_digest(doc) -> str:
+    """Digest of a JSON document in the store's canonical key order."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def repacked(pkt) -> bytes:
+    """A trace entry's trimmed record rebuilt from its decoded headers.
+
+    Headers packed back to back, zero-padded to the trimmed wire length
+    ``min(128, eth + ip.total_length)``: captured payload bytes are
+    zeros, so the headers determine every byte of a record.
+    """
+    parts = [pkt.eth.pack(), pkt.ip.pack(), pkt.udp.pack(), pkt.bth.pack()]
+    if pkt.reth is not None:
+        parts.append(pkt.reth.pack())
+    if pkt.aeth is not None:
+        parts.append(pkt.aeth.pack())
+    headers = b"".join(parts)
+    wire_len = min(128, ETH_HEADER_LEN + pkt.ip.total_length)
+    return headers[:wire_len].ljust(wire_len, b"\0")
+
+
+def cx4_read():
+    return run_scenario(nic="cx4", verb="read", num_msgs=3,
+                        message_size=10240, seed=1001)
+
+
+def mirror_loss():
+    return run_test(get_scenario("mirror-loss").apply(canonical().config))
+
+
+class TestStoredDocument:
+    def test_canonical_document_digest(self):
+        assert document_digest(encode_result(canonical())) == \
+            CANONICAL_DOCUMENT_DIGEST
+
+    @pytest.mark.parametrize("scenario", [canonical, cx4_read, mirror_loss],
+                             ids=["cx5-write-drop-ecn", "cx4-read",
+                                  "mirror-loss"])
+    def test_stored_records_are_the_packed_headers(self, scenario):
+        result = scenario()
+        records = encode_result(result)["trace"]["records"]
+        assert len(records) == len(result.trace) > 0
+        if scenario is mirror_loss:
+            assert result.trace.has_gaps
+        for pkt, stored in zip(result.trace, records):
+            assert bytes.fromhex(stored["raw"]) == repacked(pkt)
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
         import dataclasses
-
-        from repro.core.orchestrator import run_test
 
         first = canonical()
         config = dataclasses.replace(first.config)
@@ -60,8 +119,6 @@ class TestDeterminism:
     def test_counters_are_deterministic(self):
         import dataclasses
 
-        from repro.core.orchestrator import run_test
-
         first = canonical()
         second = run_test(dataclasses.replace(first.config))
         assert first.requester_counters.canonical == \
@@ -71,8 +128,6 @@ class TestDeterminism:
 
     def test_mct_values_are_deterministic(self):
         import dataclasses
-
-        from repro.core.orchestrator import run_test
 
         first = canonical()
         second = run_test(dataclasses.replace(first.config))
