@@ -292,15 +292,23 @@ class ParallelRunner:
                     outcomes[i] = self._run_in_process(
                         i, payloads[i], attempts=attempts[i] + 1)
                 break
-            futures = {
-                i: pool.submit(worker_mod.invoke, self.task_fn,
-                               payloads[i], metrics)
-                for i in pending
-            }
+            futures: dict = {}
+            for i in pending:
+                try:
+                    futures[i] = pool.submit(worker_mod.invoke, self.task_fn,
+                                             payloads[i], metrics)
+                except (BrokenProcessPool, OSError):
+                    # A worker died while the batch was being submitted
+                    # and took the pool with it: the unsubmitted rest
+                    # goes around again on a fresh pool. A pool that
+                    # could not take even one task is unusable.
+                    self._kill_pool()
+                    self._pool_dead = not futures
+                    break
             next_pending: List[int] = []
             broken = False
             for i in pending:
-                if broken:
+                if broken or i not in futures:
                     # The pool died mid-batch; everything still
                     # outstanding goes around again on a fresh pool.
                     next_pending.append(i)
