@@ -29,7 +29,7 @@ startup, spawn workers).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:
     from .core.analyzers.base import Analyzer

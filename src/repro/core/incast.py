@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 from ..dumper.pool import DumperPool
 from ..net.addressing import ip_to_int
-from ..net.link import connect, gbps
+from ..net.link import connect
 from ..rdma.nic import RdmaNic
 from ..rdma.profiles import get_profile
 from ..rdma.qp import QueuePair

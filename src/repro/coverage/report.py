@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .domains import DOMAINS
 from .map import COVERAGE_FORMAT, CoverageMap, canonical_coverage_json

@@ -121,6 +121,8 @@ class Program:
                                                List[Tuple[str, bool]]]]] = {}
         for path in sorted(contexts):
             self.modules[module_name_for_path(path)] = contexts[path]
+        #: top-level package names of the program's modules
+        self._packages = {name.split(".")[0] for name in self.modules}
         self._collect_definitions()
         self._infer_attr_types()
         self._build_edges()
@@ -240,6 +242,14 @@ class Program:
                 return None
         return self._class_for_name(ctx, ctx.resolve(node))
 
+    def _imported_class(self, ctx: ModuleContext,
+                        annotation: Optional[ast.AST]) -> Optional[str]:
+        """The class an annotation imports from outside the program."""
+        dotted = ctx.aliases.get(annotation.id) \
+            if isinstance(annotation, ast.Name) else None
+        outside = dotted and dotted.split(".")[0] not in self._packages
+        return dotted if outside else None
+
     def _infer_attr_types(self) -> None:
         """Attribute types per class, from three sources.
 
@@ -333,7 +343,8 @@ class Program:
             args = fn_node.args
             for arg in (list(args.posonlyargs) + list(args.args)
                         + list(args.kwonlyargs)):
-                typed = self._annotation_class(ctx, arg.annotation)
+                typed = self._annotation_class(ctx, arg.annotation) or \
+                    self._imported_class(ctx, arg.annotation)
                 if typed is not None:
                     types[arg.arg] = typed
         for node in ast.walk(fn_node):
@@ -346,7 +357,8 @@ class Program:
                         types.setdefault(t.id, typed)
             elif isinstance(node, ast.AnnAssign) and \
                     isinstance(node.target, ast.Name):
-                typed = self._annotation_class(ctx, node.annotation)
+                typed = self._annotation_class(ctx, node.annotation) or \
+                    self._imported_class(ctx, node.annotation)
                 if typed is not None:
                     types.setdefault(node.target.id, typed)
         return types
@@ -410,6 +422,10 @@ class Program:
             found = self._method_in_class(recv_type, method)
             if found is not None:
                 return [(found, False)]
+            if recv_type not in self.classes:
+                # An instance of an imported class: its methods are
+                # that class's, never a name-matched program method.
+                return [(f"{recv_type}.{method}", True)]
         # Fully-dotted resolution through imports: module.func,
         # package.module.Class.method, ...
         resolved = ctx.resolve(func)

@@ -156,6 +156,8 @@ _WALL_CLOCK = {
 #: Keyed by path suffix; value is the set of allowed callees there.
 _DET001_SCOPED_ALLOW = {
     "sim/engine.py": {"time.perf_counter_ns"},  # probe callback timing
+    # process supervision: deadlines bound child processes, never a sim
+    "exec/procs.py": {"time.monotonic"},
 }
 
 #: Directories whose code runs (or feeds) the deterministic simulation.
@@ -435,15 +437,11 @@ class SpawnSafetyRule(Rule):
                            call: ast.Call) -> Optional[ast.AST]:
         """The expression being shipped to a pool, if this call ships one."""
         callee = ctx.resolve_call(call)
-        if callee is not None and (
-                callee.endswith("ParallelRunner")
-                or callee.endswith("ProcessPoolExecutor")):
-            if callee.endswith("ParallelRunner"):
-                for kw in call.keywords:
-                    if kw.arg == "task_fn":
-                        return kw.value
-                return call.args[0] if call.args else None
-            return None  # executor construction itself ships nothing
+        if callee is not None and callee.endswith("ParallelRunner"):
+            for kw in call.keywords:
+                if kw.arg == "task_fn":
+                    return kw.value
+            return call.args[0] if call.args else None
         if isinstance(call.func, ast.Attribute) \
                 and call.func.attr in ("submit", "map") and call.args:
             receiver = call.func.value

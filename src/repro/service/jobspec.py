@@ -181,13 +181,23 @@ def encode_jobspec(spec: JobSpec) -> Dict:
 
 
 def decode_jobspec(data: Dict) -> JobSpec:
-    """Inverse of :func:`encode_jobspec`; rejects unversioned bodies."""
+    """Inverse of :func:`encode_jobspec`; rejects unversioned bodies
+    and wrongly typed fields, always with :class:`ValueError`."""
     _version, body = unwrap_document(data, kind="job-spec")
     try:
         kind = body["job-kind"]
     except KeyError:
         raise ValueError("job-spec document has no job-kind") from None
-    return JobSpec(kind=kind, payload=dict(body.get("payload") or {}),
-                   priority=int(body.get("priority", 0)),
-                   workers=int(body.get("workers", 1)),
-                   timeout_s=body.get("timeout-s"))
+    payload, timeout_s = body.get("payload") or {}, body.get("timeout-s")
+    if not isinstance(payload, dict) or not (
+            timeout_s is None or type(timeout_s) in (int, float)):
+        raise ValueError("job-spec payload must be an object and "
+                         "timeout-s a number")
+    try:
+        priority = int(body.get("priority", 0))
+        workers = int(body.get("workers", 1))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("job-spec priority and workers must be "
+                         "integers") from None
+    return JobSpec(kind=kind, payload=dict(payload), priority=priority,
+                   workers=workers, timeout_s=timeout_s)

@@ -69,7 +69,10 @@ def unwrap_document(data: Dict, kind: Optional[str] = None,
     if "schema-version" not in data:
         raise ValueError("unversioned document: no schema-version "
                          "envelope")
-    version = int(data["schema-version"])
+    try:
+        version = int(data["schema-version"])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("schema-version must be an integer") from None
     if version > DOCUMENT_SCHEMA_VERSION:
         raise ValueError(
             f"document schema-version {version} is newer than this "

@@ -8,6 +8,7 @@ unaffected NICs do not (Table 2's NIC column).
 import pytest
 
 from conftest import run_scenario
+from repro.core.analyzers import per_qp_goodput_gbps, split_mct
 from repro.core.config import (
     DataPacketEvent,
     DumperPoolConfig,
@@ -15,11 +16,9 @@ from repro.core.config import (
     EtsQueueSpec,
     HostConfig,
     PeriodicEcnIntent,
-    RoceParameters,
     TestConfig,
     TrafficConfig,
 )
-from repro.core.analyzers import per_qp_goodput_gbps, split_mct
 from repro.core.orchestrator import Orchestrator, run_test
 from repro.switch.events import RewriteRule
 

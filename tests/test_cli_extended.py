@@ -1,7 +1,5 @@
 """CLI coverage for the suite/incast commands and dumper-pool details."""
 
-import pytest
-
 from repro.__main__ import main
 from repro.core.testbed import build_testbed
 from repro import quick_config

@@ -10,7 +10,6 @@ from repro.core.config import (
     EtsQueueSpec,
     HostConfig,
     PeriodicEcnIntent,
-    RoceParameters,
     SwitchConfig,
     TestConfig,
     TrafficConfig,

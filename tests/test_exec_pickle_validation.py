@@ -81,13 +81,12 @@ class TestPayloadValidation:
     def test_dead_pool_fallback_skips_validation(self, monkeypatch):
         # Once the pool is unusable the campaign runs in-process, where
         # picklability is irrelevant — late validation would lose work.
-        import concurrent.futures
+        from repro.exec import procs
 
         def boom(*args, **kwargs):
             raise OSError("no semaphores on this platform")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            boom)
+        monkeypatch.setattr(procs, "context", boom)
         with ParallelRunner(_module_task, workers=2) as runner:
             runner.map([{"ok": 1}])  # kills the pool path
             assert runner._pool_dead

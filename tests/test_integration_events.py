@@ -1,7 +1,5 @@
 """Integration tests: injected drops / ECN / corruption and recovery."""
 
-import pytest
-
 from conftest import corrupt, drop, ecn, run_scenario
 from repro.net.headers import Opcode
 from repro.net.packet import EventType

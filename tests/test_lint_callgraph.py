@@ -170,6 +170,39 @@ def test_name_fallback_links_small_owner_sets_only():
                    if e.caller == "repro.h.use")
 
 
+def test_imported_class_receiver_is_external_not_name_matched():
+    prog = program({
+        "repro/j.py": """
+            from multiprocessing.connection import Connection
+            from multiprocessing.process import BaseProcess
+
+            class Daemon:
+                def start(self):
+                    return 1
+
+                def send(self, item):
+                    return item
+
+            def launch(process: BaseProcess, conn: Connection):
+                child: BaseProcess = process
+                child.start()
+                conn.send(1)
+
+            def guess(x):
+                return x.start()
+        """,
+    })
+    pairs = edge_pairs(prog)
+    assert ("repro.j.launch",
+            "multiprocessing.process.BaseProcess.start") in pairs
+    assert ("repro.j.launch",
+            "multiprocessing.connection.Connection.send") in pairs
+    assert ("repro.j.launch", "repro.j.Daemon.start") not in pairs
+    assert ("repro.j.launch", "repro.j.Daemon.send") not in pairs
+    # An untyped receiver still takes the bounded name fallback.
+    assert ("repro.j.guess", "repro.j.Daemon.start") in pairs
+
+
 def test_external_calls_kept_as_external_edges():
     prog = program({
         "repro/i.py": """

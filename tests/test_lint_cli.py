@@ -13,8 +13,6 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
-
 from repro.lint.baseline import Baseline
 from repro.lint.cli import default_root, lint_tree, main
 

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import run_scenario
 from repro.core.config import (
-    DataPacketEvent,
     DumperPoolConfig,
     HostConfig,
     PeriodicDropIntent,

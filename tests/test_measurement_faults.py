@@ -26,7 +26,6 @@ from repro.core.orchestrator import run_test
 from repro.core.report import render_report
 from repro.core.suite import CHECKS, COVERAGE, Outcome, run_conformance_suite
 from repro.faults import SCENARIOS, build_injector, get_scenario
-from repro.sim.engine import Simulator
 from repro.sim.rng import SimRandom
 
 

@@ -1,7 +1,5 @@
 """NIC-level unit tests: TX arbitration, RX ordering, pipeline quirks."""
 
-import pytest
-
 from repro import quick_config
 from repro.core.testbed import build_testbed
 from repro.net.headers import Opcode

@@ -6,8 +6,6 @@ threshold on the egress queue, a bandwidth mismatch (100 G sender,
 loop — marks → CNPs → rate cut → queue drains → marks stop.
 """
 
-import pytest
-
 from repro.core.config import (
     DumperPoolConfig,
     HostConfig,

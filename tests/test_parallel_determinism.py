@@ -71,8 +71,7 @@ class TestFuzzDeterminism:
         def no_pools(*args, **kwargs):
             raise OSError("no process pools on this platform")
 
-        monkeypatch.setattr(runner_mod.concurrent.futures,
-                            "ProcessPoolExecutor", no_pools)
+        monkeypatch.setattr(runner_mod.procs, "context", no_pools)
         degraded = _campaign(workers=4)
         _assert_reports_identical(serial_report, degraded)
 

@@ -2,7 +2,7 @@
 
 from repro.rdma.dcqcn import CnpRateLimiter, DcqcnParams, DcqcnRp
 from repro.rdma.profiles import CX4_LX, CX5, E810, IDEAL
-from repro.sim.engine import Simulator, US
+from repro.sim.engine import US
 
 
 class TestReactionPoint:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.testbed import build_testbed
 from repro import quick_config
-from repro.net.headers import Opcode
 from repro.rdma.qp import QpState, psn_add, psn_distance, psn_geq
 from repro.rdma.verbs import (
     CompletionQueue,

@@ -16,6 +16,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import quick_config
 from repro.service import (
@@ -48,6 +49,15 @@ from repro.store.serialize import (
 
 SUITE_PAYLOAD = {"nic": "cx5", "seed": None, "checks": ["gbn-logic"],
                  "faults": None}
+
+
+#: Any JSON value a client could send in place of a spec field.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner,
+                                     max_size=3)),
+    max_leaves=6)
 
 
 def suite_spec(**opts) -> JobSpec:
@@ -114,6 +124,26 @@ class TestJobSpec:
                                      checks=["gbn-logic"]).fingerprint)
         assert (suite_spec().fingerprint
                 != suite_spec(observe=True).fingerprint)
+
+    @pytest.mark.parametrize("field", [
+        "schema-version", "kind", "body",
+        "body.job-kind", "body.payload", "body.priority", "body.workers",
+        "body.timeout-s"])
+    @settings(max_examples=40, deadline=None)
+    @given(value=JSON_VALUES)
+    @example(value=None)
+    @example(value=[])
+    @example(value={})
+    @example(value=5)
+    @example(value=1.5)
+    def test_wrong_field_types_raise_value_error(self, field, value):
+        doc = encode_jobspec(suite_spec())
+        owner, _, key = field.rpartition(".")
+        (doc[owner] if owner else doc)[key] = value
+        try:
+            decode_jobspec(doc)
+        except ValueError:
+            pass
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown job kind"):
@@ -537,6 +567,17 @@ class TestDaemonHTTP:
                             body=wrap_document("job-spec",
                                                {"payload": {}}))
         assert exc.value.status == 400
+
+    def test_wrongly_typed_submission_is_400_and_daemon_survives(
+            self, daemon):
+        client = Client(daemon.url)
+        doc = encode_jobspec(suite_spec())
+        doc["schema-version"] = None
+        with pytest.raises(ServiceError) as exc:
+            client._request("POST", "/api/v1/jobs", body=doc)
+        assert exc.value.status == 400
+        assert "schema-version" in str(exc.value)
+        assert client.health()["jobs"]["queued"] == 0
 
     def test_results_before_completion_is_404(self, tmp_path):
         daemon = CampaignDaemon(str(tmp_path / "state"),

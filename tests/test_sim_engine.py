@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Simulator, SimulationError, US, MS, SEC
+from repro.sim.engine import SimulationError, US, MS, SEC
 
 
 class TestScheduling:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.process import Process, Signal, Timeout, all_of, spawn
+from repro.sim.process import Signal, Timeout, all_of, spawn
 
 
 class TestTimeout:

@@ -1,7 +1,5 @@
 """Direct switch-level tests for the §7 extension actions."""
 
-import pytest
-
 from repro.net.headers import BaseTransportHeader, Ipv4Header, Opcode, UdpHeader
 from repro.net.link import Node, connect, gbps
 from repro.net.packet import EventType, Packet

@@ -12,7 +12,7 @@ held to the stricter bar: switching it on changes nothing at all.
 import pytest
 
 from repro import observe
-from repro.core.config import TestConfig, TrafficConfig
+from repro.core.config import TestConfig
 from repro.core.fuzz import LuminaFuzzer
 from repro.core.orchestrator import run_test
 from repro.core.report import render_report
